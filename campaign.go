@@ -81,10 +81,6 @@ type CampaignOptions struct {
 	// transitions. Per-cell event sequences are deterministic and
 	// identical for any worker count.
 	Observer func(CampaignCell) Observer
-	// Stream runs every cell through the simulator's streaming path (lazy
-	// job admission, pooled runtime records). Records are identical to a
-	// materialized run; the switch bounds live memory on large traces.
-	Stream bool
 	// FedWorkers sets FederationSpec.Workers for federated cells (those
 	// with a Topologies axis): values above 1 advance each cell's member
 	// clusters concurrently between dispatch points. The default 0 keeps
@@ -125,7 +121,7 @@ func Campaign(ctx context.Context, g Grid, opt CampaignOptions) (*CampaignRun, e
 	if opt.Resume && opt.Checkpoint == "" {
 		return nil, fmt.Errorf("dfrs: CampaignOptions.Resume requires Checkpoint")
 	}
-	runner := &campaign.Runner{Workers: opt.Workers, Stream: opt.Stream, FedWorkers: opt.FedWorkers}
+	runner := &campaign.Runner{Workers: opt.Workers, FedWorkers: opt.FedWorkers}
 	var checkpoint *os.File
 	switch {
 	case opt.Checkpoint != "" && opt.Resume:

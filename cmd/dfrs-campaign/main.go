@@ -67,7 +67,6 @@ func main() {
 		resume    = flag.Bool("resume", false, "skip cells already present in -out and append the rest")
 		check     = flag.Bool("check", false, "enable per-event simulator invariant checking")
 		timing    = flag.Bool("timing", false, "record wall-clock scheduler timing aggregates (nondeterministic)")
-		stream    = flag.Bool("stream", false, "run cells through the streaming simulator path (lazy admission, pooled records); identical output, bounded live memory")
 		quiet     = flag.Bool("q", false, "suppress progress output on stderr")
 	)
 	flag.Parse()
@@ -108,7 +107,7 @@ func main() {
 	if *fedWork != 0 && *clusters == "" {
 		fatal(fmt.Errorf("bad -fed-workers: requires -clusters"))
 	}
-	opt := dfrs.CampaignOptions{Workers: *workers, Stream: *stream, FedWorkers: *fedWork}
+	opt := dfrs.CampaignOptions{Workers: *workers, FedWorkers: *fedWork}
 	if !*quiet {
 		opt.Progress = func(done, total int, rec dfrs.CampaignRecord) {
 			fmt.Fprintf(os.Stderr, "dfrs-campaign: [%d/%d] %s\n", done, total, rec.Key)

@@ -84,10 +84,15 @@ func (c *Controller) FreeRes(node, k int) float64 {
 	return floats.NonNeg(c.sim.cl.Cap(node, k) - c.UsedRes(node, k))
 }
 
-// NumJobs returns the number of jobs in the trace.
+// NumJobs returns the number of jobs admitted so far, so jids run from 0
+// to NumJobs()-1. For a materialized run that is the whole trace from the
+// start; for a Source-fed run it grows as jobs are admitted.
 func (c *Controller) NumJobs() int { return len(c.sim.jobs) }
 
-// Job returns a read-only snapshot of job jid.
+// Job returns a read-only snapshot of job jid. In a materialized run a
+// completed job stays queryable (State Done) to the end. Source-fed runs
+// recycle a completed job's runtime record once its completion hooks have
+// returned, so querying it afterwards panics.
 func (c *Controller) Job(jid int) JobInfo {
 	j := c.sim.jobs[jid]
 	var nodes []int

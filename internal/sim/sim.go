@@ -14,8 +14,9 @@
 // which is the paper's pessimistic pause/resume model of migration.
 //
 // The engine is indexed for scale. The event calendar is a binary heap
-// (internal/eventq) holding arrivals, timers and a single tentative
-// completion event that is cancelled and re-armed as yields change. Job
+// (internal/eventq) holding timers and a single tentative completion event
+// that is cancelled and re-armed as yields change; arrivals wait beside it
+// in a FIFO of admitted jobs (see Admission). Job
 // listings (pending/running/paused) and the jobs-in-system count are
 // maintained incrementally on state transitions, never recomputed by
 // scanning the trace. Per-node (relative load, free memory) state lives in
@@ -24,29 +25,39 @@
 // feasibility-pruned least-loaded-node queries are O(log n) — each
 // reproducing the historical O(nodes) scans bit for bit.
 //
-// The event loop is a step API: Start seeds the calendar,
+// The event loop is a step API: Start runs the scheduler's Init hook,
 // HasPendingEvents/PeekNextEventTime inspect it, ProcessNextEvent advances
 // the clock by exactly one event, and Finalize produces the Result. Run is
 // precisely a loop over ProcessNextEvent, so callers can single-step a
 // simulation, interleave several simulators under one external clock, or
 // stop between any two events at no cost to the batch path.
 //
-// # Streaming
+// # Admission
 //
-// A simulator normally materializes the whole trace up front. With
-// Config.Source set (a workload.JobSource), jobs are instead pulled
-// lazily, one look-ahead job at a time: an arrival is admitted — validated,
-// capacity-checked and handed to the scheduler — only when the clock
-// reaches its submission time, and the runtime record of a completed job
-// is recycled through a free list once its completion hooks have run.
+// Every job enters through one admission path: it is validated,
+// capacity-checked, given the next jid and queued in the arrival FIFO,
+// whose head fires the job's OnArrival hook when the clock reaches its
+// submission time. Arrivals outrank coincident completions and timers, so
+// a job submitted at an instant is in the system before anything else
+// happens then. Where jobs come from is the only difference between runs:
+//
+//   - A materialized run (Config.Trace.Jobs) admits the whole trace in New,
+//     so a bad job fails construction.
+//   - A streaming run (Config.Source, a workload.JobSource) pulls jobs
+//     lazily, one look-ahead job at a time, and admits each only when the
+//     clock reaches its submission time, so a bad job fails the run
+//     mid-stream. The runtime record of a completed job is recycled
+//     through a free list once its completion hooks have run.
+//   - InjectJob admits a job handed over by an external dispatcher
+//     (internal/federation).
+//
 // Config.JobSink routes each finished job's JobResult to a callback
-// instead of accumulating Result.Jobs. With all three in play the live
-// set is bounded by jobs concurrently in the system, not by trace length,
-// which is what lets a million-job trace run in a few megabytes. Event
-// order is identical to the materialized run: arrivals outrank coincident
-// queue events exactly as the materialized seeding makes them (lowest
-// sequence numbers at equal timestamps), so Results match field for field
-// — pinned by the streaming equivalence tests.
+// instead of accumulating Result.Jobs. With a Source and a JobSink the
+// live set is bounded by jobs concurrently in the system, not by trace
+// length, which is what lets a million-job trace run in a few megabytes.
+// Because both kinds of run share the admission and arrival code, their
+// Results match field for field — pinned by the streaming equivalence
+// tests.
 package sim
 
 import (
@@ -167,7 +178,6 @@ type jobRT struct {
 
 // event payloads
 type (
-	arrivalEv    struct{ jid int }
 	completionEv struct{ gen uint64 }
 	timerEv      struct{ tag int64 }
 )
@@ -352,7 +362,10 @@ type Simulator struct {
 	sched Scheduler
 	obs   Observer
 
-	now     float64
+	now float64
+	// jobs is indexed by jid. Jids are assigned in admission order and
+	// admission enforces nondecreasing submits, so jid order is submission
+	// order.
 	jobs    []*jobRT
 	queue   eventq.Queue
 	ctl     Controller
@@ -380,22 +393,21 @@ type Simulator struct {
 	running    []int // jobs in state Running
 	paused     []int // jobs in state Paused
 	visPending []int // Pending jobs whose submission time has been reached
-	bySubmit   []int // all jids ordered by (Submit, jid), activation source
-	nextAct    int   // next bySubmit entry to activate
+	nextAct    int   // next jid to activate
 	finishBuf  []int // scratch: running snapshot for the completion sweep
 	doneBuf    []int // scratch: jids completed by the current sweep
 
-	// Streaming mode (cfg.Source != nil): one-job lookahead into the
-	// source, the FIFO of admitted jobs whose arrival hook has not fired
-	// yet, the free-list of recycled runtime records, and the admission
-	// bookkeeping. The capacity checks of the materialized constructor
-	// (maxCap, chk) are kept to re-run them per admitted job.
+	// Admission: the FIFO of admitted jobs whose arrival hook has not fired
+	// yet (arrFIFO[arrHead:]), and in streaming mode (cfg.Source != nil)
+	// the one-job lookahead into the source and the free list of recycled
+	// runtime records. maxCap and chk back the per-job capacity checks.
 	src       workload.JobSource
 	srcNext   *workload.Job
 	srcJob    workload.Job // backing storage for srcNext
 	srcDone   bool
 	streamErr error
 	arrFIFO   []int
+	arrHead   int
 	freeRT    []*jobRT
 	// freeNodes recycles per-task node-assignment buffers (jobRT.nodes):
 	// releaseNodes pushes the slice a job held, occupyNodes pops one. At
@@ -411,20 +423,14 @@ type Simulator struct {
 	result        Result
 }
 
-// New creates a simulator for the given configuration and algorithm. The
-// trace is validated eagerly.
+// New creates a simulator for the given configuration and algorithm. A
+// materialized trace is admitted whole, so every job is validated eagerly.
 func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("sim: nil trace")
 	}
-	if cfg.Source != nil {
-		// Streaming mode: the trace supplies metadata only; jobs are
-		// validated one by one as they are admitted.
-		if cfg.Trace.Nodes < 1 {
-			return nil, fmt.Errorf("sim: trace has no nodes")
-		}
-	} else if err := cfg.Trace.Validate(); err != nil {
-		return nil, err
+	if cfg.Trace.Nodes < 1 {
+		return nil, fmt.Errorf("sim: trace has no nodes")
 	}
 	if cfg.Penalty < 0 {
 		return nil, fmt.Errorf("sim: negative penalty %g", cfg.Penalty)
@@ -441,11 +447,7 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	if s.cl.N() != n {
 		return nil, fmt.Errorf("sim: cluster has %d nodes but trace %q targets %d", s.cl.N(), cfg.Trace.Name, n)
 	}
-	// Eager unschedulability check: a job whose per-task requirement in
-	// any dimension exceeds every node of the materialised cluster can
-	// never be placed, so reject the trace up front instead of starving at
-	// run time. A job demanding a dimension the cluster does not declare
-	// faces capacity 0 everywhere and is likewise rejected.
+	// Per-dimension node maxima for admission's unschedulability check.
 	d := s.cl.D()
 	s.maxCap = make([]float64, d)
 	for node := 0; node < n; node++ {
@@ -454,17 +456,6 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 		}
 	}
 	s.chk, _ = sched.(CapacityChecker)
-	if cfg.Source != nil {
-		s.src = cfg.Source
-	} else {
-		// Materialized mode runs every admission check up front; the same
-		// checks run per job on admission in streaming mode (admit).
-		for _, j := range cfg.Trace.Jobs {
-			if err := s.checkSchedulable(j); err != nil {
-				return nil, err
-			}
-		}
-	}
 	s.hasCost = s.cl.Priced()
 	s.usedCPU = make([]float64, n)
 	s.cpuLoad = make([]float64, n)
@@ -475,24 +466,6 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	s.nodeIdx = index.NewNodeIndex(n, func(node int) float64 {
 		return floats.NonNeg(s.cl.MemCap(node) - s.usedRigid[0][node])
 	})
-	if s.src == nil {
-		s.jobs = make([]*jobRT, len(cfg.Trace.Jobs))
-		for i, j := range cfg.Trace.Jobs {
-			s.jobs[i] = &jobRT{job: j, state: Pending, remaining: j.ExecTime, start: -1, lastPauseTime: -1, prevPauseTime: -1}
-		}
-		s.remainingJobs = len(s.jobs)
-		s.bySubmit = make([]int, len(s.jobs))
-		for jid := range s.jobs {
-			s.bySubmit[jid] = jid
-		}
-		sort.Slice(s.bySubmit, func(a, b int) bool {
-			ja, jb := s.jobs[s.bySubmit[a]], s.jobs[s.bySubmit[b]]
-			if ja.job.Submit != jb.job.Submit {
-				return ja.job.Submit < jb.job.Submit
-			}
-			return s.bySubmit[a] < s.bySubmit[b]
-		})
-	}
 	s.ctl = Controller{sim: s}
 	s.result = Result{
 		Algorithm:   sched.Name(),
@@ -500,6 +473,17 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 		Nodes:       n,
 		TotalCPUCap: s.cl.TotalCPU(),
 		Penalty:     cfg.Penalty,
+	}
+	if cfg.Source != nil {
+		s.src = cfg.Source
+		return s, nil
+	}
+	s.jobs = make([]*jobRT, 0, len(cfg.Trace.Jobs))
+	s.arrFIFO = make([]int, 0, len(cfg.Trace.Jobs))
+	for _, j := range cfg.Trace.Jobs {
+		if err := s.admit(j); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -604,10 +588,6 @@ func (s *Simulator) admit(j workload.Job) error {
 	rt.remaining = j.ExecTime
 	s.jobs = append(s.jobs, rt)
 	s.remainingJobs++
-	// The source contract (nondecreasing submits) makes admission order the
-	// (Submit, jid) order, so both activation and the arrival FIFO extend
-	// by plain append.
-	s.bySubmit = append(s.bySubmit, jid)
 	s.arrFIFO = append(s.arrFIFO, jid)
 	return nil
 }
@@ -637,24 +617,29 @@ func (s *Simulator) newRT() *jobRT {
 // arrival whose hook has not fired, admitting the lookahead job first when
 // the FIFO is empty. ok is false when no arrival is pending.
 func (s *Simulator) nextArrival() (jid int, at float64, ok bool) {
-	if len(s.arrFIFO) == 0 {
+	if s.arrHead == len(s.arrFIFO) {
 		s.peekSource()
 		if s.srcNext == nil {
 			return 0, 0, false
 		}
 		s.admitThrough(s.srcNext.Submit)
-		if len(s.arrFIFO) == 0 {
+		if s.arrHead == len(s.arrFIFO) {
 			return 0, 0, false
 		}
 	}
-	jid = s.arrFIFO[0]
+	jid = s.arrFIFO[s.arrHead]
 	return jid, s.jobs[jid].job.Submit, true
 }
 
-// popArrival removes the FIFO head.
+// popArrival removes the FIFO head by advancing the head index — a
+// materialized run queues its whole trace here, so shifting the slice
+// would make admission quadratic — and rewinds the emptied FIFO so a
+// stream keeps reusing the same storage.
 func (s *Simulator) popArrival() {
-	copy(s.arrFIFO, s.arrFIFO[1:])
-	s.arrFIFO = s.arrFIFO[:len(s.arrFIFO)-1]
+	s.arrHead++
+	if s.arrHead == len(s.arrFIFO) {
+		s.arrFIFO, s.arrHead = s.arrFIFO[:0], 0
+	}
 }
 
 // recycleDone returns the runtime records of the jobs completed by the
@@ -701,7 +686,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	return s.Finalize(), nil
 }
 
-// Start seeds the event queue with the trace's arrival events and runs the
+// Start makes the jobs submitted at time zero visible and runs the
 // scheduler's Init hook. It is idempotent; ProcessNextEvent calls it
 // implicitly, so explicit use is only needed by step-driven callers that
 // want to inspect state before the first event.
@@ -710,9 +695,6 @@ func (s *Simulator) Start() {
 		return
 	}
 	s.started = true
-	for jid := range s.jobs {
-		s.queue.Push(s.jobs[jid].job.Submit, arrivalEv{jid: jid})
-	}
 	s.activateUpTo(s.now)
 	s.invoke("init", func() { s.sched.Init(&s.ctl) })
 }
@@ -724,27 +706,21 @@ func (s *Simulator) HasPendingJobs() bool {
 	if s.remainingJobs > 0 || s.streamErr != nil {
 		return true
 	}
-	if s.src != nil {
-		s.peekSource()
-		return s.srcNext != nil || s.streamErr != nil
-	}
-	return false
+	s.peekSource()
+	return s.srcNext != nil || s.streamErr != nil
 }
 
 // HasPendingEvents reports whether the event queue holds at least one
-// armed event (in streaming mode, a not-yet-fired arrival counts). Timer
+// armed event or an arrival has yet to fire. Timer
 // events may outlive the last job, so this can stay true after
 // HasPendingJobs turns false; Run stops at job completion.
 func (s *Simulator) HasPendingEvents() bool {
 	s.Start()
-	if s.queue.Len() > 0 || len(s.arrFIFO) > 0 {
+	if s.queue.Len() > 0 || s.arrHead < len(s.arrFIFO) {
 		return true
 	}
-	if s.src != nil {
-		s.peekSource()
-		return s.srcNext != nil
-	}
-	return false
+	s.peekSource()
+	return s.srcNext != nil
 }
 
 // PeekNextEventTime returns the timestamp of the next armed event without
@@ -752,16 +728,14 @@ func (s *Simulator) HasPendingEvents() bool {
 func (s *Simulator) PeekNextEventTime() (t float64, ok bool) {
 	s.Start()
 	ev := s.queue.Peek()
-	if s.src != nil {
-		at, okA := 0.0, false
-		if len(s.arrFIFO) > 0 {
-			at, okA = s.jobs[s.arrFIFO[0]].job.Submit, true
-		} else if s.peekSource(); s.srcNext != nil {
-			at, okA = s.srcNext.Submit, true
-		}
-		if okA && (ev == nil || at <= ev.Time) {
-			return at, true
-		}
+	at, okA := 0.0, false
+	if s.arrHead < len(s.arrFIFO) {
+		at, okA = s.jobs[s.arrFIFO[s.arrHead]].job.Submit, true
+	} else if s.peekSource(); s.srcNext != nil {
+		at, okA = s.srcNext.Submit, true
+	}
+	if okA && (ev == nil || at <= ev.Time) {
+		return at, true
 	}
 	if ev == nil {
 		return 0, false
@@ -779,26 +753,21 @@ func (s *Simulator) ProcessNextEvent() error {
 	if s.streamErr != nil {
 		return s.streamErr
 	}
-	if s.src != nil {
-		if jid, at, ok := s.nextArrival(); ok {
-			// Arrivals outrank coincident completions and timers: the
-			// materialized engine pushes every arrival event before the run
-			// starts, so at equal timestamps its sequence number is lower
-			// than any event armed later.
-			if ev := s.queue.Peek(); ev == nil || at <= ev.Time {
-				s.popArrival()
-				s.advance(at)
-				s.result.Events++
-				s.record(TlSubmit, jid, 0, 0)
-				if s.obs != nil {
-					s.obs.JobSubmitted(s.now, jid)
-				}
-				s.invoke("arrival", func() { s.sched.OnArrival(&s.ctl, jid) })
-				return s.finishEvent()
+	if jid, at, ok := s.nextArrival(); ok {
+		// Arrivals outrank coincident completions and timers.
+		if ev := s.queue.Peek(); ev == nil || at <= ev.Time {
+			s.popArrival()
+			s.advance(at)
+			s.result.Events++
+			s.record(TlSubmit, jid, 0, 0)
+			if s.obs != nil {
+				s.obs.JobSubmitted(s.now, jid)
 			}
-		} else if s.streamErr != nil {
-			return s.streamErr
+			s.invoke("arrival", func() { s.sched.OnArrival(&s.ctl, jid) })
+			return s.finishEvent()
 		}
+	} else if s.streamErr != nil {
+		return s.streamErr
 	}
 	ev := s.queue.Pop()
 	if ev == nil {
@@ -811,12 +780,6 @@ func (s *Simulator) ProcessNextEvent() error {
 	s.advance(ev.Time)
 	s.result.Events++
 	switch p := ev.Payload.(type) {
-	case arrivalEv:
-		s.record(TlSubmit, p.jid, 0, 0)
-		if s.obs != nil {
-			s.obs.JobSubmitted(s.now, p.jid)
-		}
-		s.invoke("arrival", func() { s.sched.OnArrival(&s.ctl, p.jid) })
 	case completionEv:
 		if p.gen != s.completionGen {
 			break // stale tentative completion
@@ -826,6 +789,8 @@ func (s *Simulator) ProcessNextEvent() error {
 		for _, jid := range done {
 			s.invoke("completion", func() { s.sched.OnCompletion(&s.ctl, jid) })
 		}
+		// Only streaming runs recycle: a materialized run keeps every
+		// completed job queryable (Controller.Job) and counted (NumJobs).
 		if s.src != nil {
 			s.recycleDone(done)
 		}
@@ -910,26 +875,22 @@ func (s *Simulator) advance(t float64) {
 }
 
 // activateUpTo makes every still-pending job submitted at or before t
-// visible to the scheduler-facing job listings. bySubmit orders jobs by
-// submission time, so the sweep resumes where the previous one stopped and
-// each job is considered exactly once across the whole run.
+// visible to the scheduler-facing job listings. Jid order is submission
+// order, so the sweep resumes where the previous one stopped and each job
+// is considered exactly once across the whole run.
 func (s *Simulator) activateUpTo(t float64) {
-	if s.src != nil {
-		// Streaming: pull every source job submitted by t into the system
-		// first, so the activation sweep below sees it. The clock never
-		// passes an unadmitted submission (arrivals outrank coincident
-		// events), so no job is skipped.
-		s.admitThrough(t)
-	}
-	for s.nextAct < len(s.bySubmit) {
-		jid := s.bySubmit[s.nextAct]
-		if s.jobs[jid].job.Submit > t {
+	// Pull every source job submitted by t into the system first, so the
+	// sweep below sees it. The clock never passes an unadmitted submission
+	// (arrivals outrank coincident events), so no job is skipped.
+	s.admitThrough(t)
+	for ; s.nextAct < len(s.jobs); s.nextAct++ {
+		j := s.jobs[s.nextAct]
+		if j.job.Submit > t {
 			return
 		}
-		if s.jobs[jid].state == Pending {
-			s.visPending = insertJid(s.visPending, jid)
+		if j.state == Pending {
+			s.visPending = insertJid(s.visPending, s.nextAct)
 		}
-		s.nextAct++
 	}
 }
 
