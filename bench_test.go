@@ -301,14 +301,18 @@ func BenchmarkSingleSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	trace, err := dfrs.FromJobs(scaled.Name, scaled.Nodes, scaled.NodeMemGB, scaled.Jobs)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, alg := range []string{"fcfs", "easy", "greedy", "greedy-pmtn", "dynmcb8", "dynmcb8-asap-per"} {
 		b.Run(alg, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunOne(context.Background(), scaled, alg, experiments.PaperPenalty, false)
+				res, err := dfrs.Run(context.Background(), trace, alg, dfrs.WithPenalty(experiments.PaperPenalty))
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Events), "events")
+				b.ReportMetric(float64(res.Events()), "events")
 			}
 		})
 	}

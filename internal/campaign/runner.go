@@ -444,9 +444,9 @@ func (m *materialiser) base(c Cell) (*workload.Trace, error) {
 }
 
 // generateBase draws the cell's base trace from its deterministic RNG
-// substream. The lublin split labels match the historical
-// experiments.Config.BaseTraces labels so campaigns reproduce the exact
-// synthetic traces of the pre-engine harness. The hpc2n family
+// substream. The lublin family splits the root stream by "trace-<index>",
+// the labels of the pre-engine harness, so campaigns reproduce its exact
+// synthetic traces. The hpc2n family
 // intentionally differs from the pre-engine Table I leg: instead of one
 // continuous multi-week log split into segments (whose week contents
 // depended on the total week count), every weekly segment is an

@@ -55,30 +55,6 @@ func (m MultiSink) Write(rec Record) error {
 	return nil
 }
 
-// MemorySink collects records in memory, mainly for tests and in-process
-// aggregation.
-type MemorySink struct {
-	mu   sync.Mutex
-	recs []Record
-}
-
-// Write appends the record.
-func (s *MemorySink) Write(rec Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recs = append(s.recs, rec)
-	return nil
-}
-
-// Records returns a copy of the collected records sorted by cell key.
-func (s *MemorySink) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]Record(nil), s.recs...)
-	SortRecords(out)
-	return out
-}
-
 // ReadRecords parses a JSONL results stream. Unparseable lines are skipped:
 // a campaign interrupted mid-write leaves a truncated final line, and
 // resume semantics treat any line that does not decode to a keyed record as

@@ -28,7 +28,10 @@
 // every node eagerly.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Dimension indices of the canonical resource vector. CPU is the only
 // fluid dimension (consumption scales with the allocated yield); every
@@ -270,16 +273,6 @@ func (c *Cluster) TotalCap(k int) float64 {
 	return t
 }
 
-// MeanCap returns the mean per-node capacity in dimension k (1.0 for an
-// empty cluster, matching the reference node). The vector-packing kernel
-// normalizes item requirements by it on heterogeneous platforms.
-func (c *Cluster) MeanCap(k int) float64 {
-	if len(c.Nodes) == 0 {
-		return 1
-	}
-	return c.TotalCap(k) / float64(len(c.Nodes))
-}
-
 // TotalCPU returns the cluster's aggregate CPU capacity. For a homogeneous
 // cluster this is exactly float64(n), matching the unit-capacity arithmetic
 // the paper's formulas use.
@@ -339,10 +332,23 @@ func (c *Cluster) ExtendUnit(d int) *Cluster {
 	return c.WithDims(d, 1, DefaultDimNames(d))
 }
 
+// validCap reports whether a capacity is finite and positive (or, with
+// zeroOK, non-negative). NaN fails either comparison.
+func validCap(x float64, zeroOK bool) bool {
+	if math.IsInf(x, 1) {
+		return false
+	}
+	if zeroOK {
+		return x >= 0
+	}
+	return x > 0
+}
+
 // Validate checks that the cluster is non-empty, that every node has the
 // same dimension count (at least MinDims), that CPU and memory capacities
-// are positive, that extra dimensions are non-negative, and that DimNames
-// (when set) matches the dimension count.
+// are finite and positive, that extra dimensions are finite and
+// non-negative, that cost rates are finite and non-negative, and that
+// DimNames (when set) matches the dimension count.
 func (c *Cluster) Validate() error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("cluster: no nodes")
@@ -355,15 +361,15 @@ func (c *Cluster) Validate() error {
 		if n.Dims() != d {
 			return fmt.Errorf("cluster: node %d has %d dimensions, node 0 has %d", i, n.Dims(), d)
 		}
-		if n.Caps[DimCPU] <= 0 || n.Caps[DimMem] <= 0 {
-			return fmt.Errorf("cluster: node %d has non-positive cpu/mem capacity %v", i, n.Caps)
+		if !validCap(n.Caps[DimCPU], false) || !validCap(n.Caps[DimMem], false) {
+			return fmt.Errorf("cluster: node %d has cpu/mem capacity %v, want finite and positive", i, n.Caps)
 		}
 		for k := MinDims; k < d; k++ {
-			if n.Caps[k] < 0 {
-				return fmt.Errorf("cluster: node %d has negative %s capacity %g", i, c.DimName(k), n.Caps[k])
+			if !validCap(n.Caps[k], true) {
+				return fmt.Errorf("cluster: node %d has %s capacity %g, want finite and non-negative", i, c.DimName(k), n.Caps[k])
 			}
 		}
-		if !(n.Cost >= 0) { // negated so NaN is rejected too
+		if !(n.Cost >= 0) || math.IsInf(n.Cost, 1) { // negated so NaN is rejected too
 			return fmt.Errorf("cluster: node %d has invalid cost rate %g", i, n.Cost)
 		}
 	}

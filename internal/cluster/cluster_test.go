@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 )
 
@@ -45,6 +46,16 @@ func TestValidate(t *testing.T) {
 	}
 	if err := New([]NodeSpec{Spec(1, -1)}).Validate(); err == nil {
 		t.Error("negative memory capacity accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, n := range []NodeSpec{
+		{Caps: Vec{nan, 1}}, {Caps: Vec{1, nan}}, {Caps: Vec{1, 1, nan}},
+		{Caps: Vec{inf, 1}}, {Caps: Vec{1, inf}}, {Caps: Vec{1, 1, inf}},
+		{Caps: Vec{1, 1}, Cost: inf},
+	} {
+		if err := New([]NodeSpec{n}).Validate(); err == nil {
+			t.Errorf("non-finite node %+v accepted", n)
+		}
 	}
 }
 

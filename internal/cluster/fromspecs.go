@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -61,8 +62,8 @@ func FromSpecs(r io.Reader) (dims []string, specs []NodeSpec, err error) {
 				if perr != nil {
 					return nil, nil, fmt.Errorf("cluster: line %d: bad cost %q: %v", lineno, cv, perr)
 				}
-				if !(cost >= 0) { // negated so NaN is rejected too
-					return nil, nil, fmt.Errorf("cluster: line %d: negative cost rate %g", lineno, cost)
+				if !(cost >= 0) || math.IsInf(cost, 1) { // negated so NaN is rejected too
+					return nil, nil, fmt.Errorf("cluster: line %d: cost rate %g, want finite and non-negative", lineno, cost)
 				}
 				spec.Cost = cost
 				sawCost = true
@@ -83,12 +84,12 @@ func FromSpecs(r io.Reader) (dims []string, specs []NodeSpec, err error) {
 		if len(specs) > 0 && len(spec.Caps) != specs[0].Dims() {
 			return nil, nil, fmt.Errorf("cluster: line %d: %d dimensions, previous nodes have %d", lineno, len(spec.Caps), specs[0].Dims())
 		}
-		if spec.Caps[DimCPU] <= 0 || spec.Caps[DimMem] <= 0 {
-			return nil, nil, fmt.Errorf("cluster: line %d: non-positive cpu/mem capacity %v", lineno, spec.Caps)
+		if !validCap(spec.Caps[DimCPU], false) || !validCap(spec.Caps[DimMem], false) {
+			return nil, nil, fmt.Errorf("cluster: line %d: cpu/mem capacity %v, want finite and positive", lineno, spec.Caps)
 		}
 		for k := MinDims; k < len(spec.Caps); k++ {
-			if spec.Caps[k] < 0 {
-				return nil, nil, fmt.Errorf("cluster: line %d: negative capacity %g in dimension %d", lineno, spec.Caps[k], k)
+			if !validCap(spec.Caps[k], true) {
+				return nil, nil, fmt.Errorf("cluster: line %d: capacity %g in dimension %d, want finite and non-negative", lineno, spec.Caps[k], k)
 			}
 		}
 		specs = append(specs, spec)

@@ -50,6 +50,13 @@ func TestFromSpecsErrorsNameLines(t *testing.T) {
 		{"0 1\n", "line 1"},               // non-positive cpu
 		{"1 1 cost=-2\n", "line 1"},       // negative cost
 		{"1 1 cost=nan\n", "line 1"},      // NaN cost
+		{"1 1 cost=+Inf\n", "line 1"},     // infinite cost
+		{"NaN 1\n1 1\n", "line 1"},        // NaN cpu
+		{"1 1\n1 NaN\n", "line 2"},        // NaN mem
+		{"1 1 NaN\n", "line 1"},           // NaN extra capacity
+		{"+Inf 1\n", "line 1"},            // infinite cpu
+		{"1 +Inf\n", "line 1"},            // infinite mem
+		{"1 1 +Inf\n", "line 1"},          // infinite extra capacity
 		{"1 1 cost=1 cost=2\n", "line 1"}, // duplicate cost
 		{"1 1 cost=1 2\n", "line 1"},      // capacity after cost
 		{"# dims: cpu\n1 1\n", "line 1"},  // too few dim names

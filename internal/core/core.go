@@ -735,19 +735,6 @@ func (w *Workspace) MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster,
 	return p.allocation(), true
 }
 
-// ImproveAverageStretch is the stretch-driven counterpart of
-// ImproveAverageYield: leftover CPU is granted to jobs in ascending total
-// CPU need, which raises their yields and therefore lowers their estimated
-// stretch at the next event. The mechanics are identical; only the
-// motivation differs, so it simply delegates.
-func ImproveAverageStretch(jobs []StretchState, alloc *Allocation, c *cluster.Cluster) {
-	specs := make([]JobSpec, len(jobs))
-	for i, s := range jobs {
-		specs[i] = s.JobSpec
-	}
-	ImproveAverageYield(specs, alloc, c, nil)
-}
-
 // ValidateAllocation checks an allocation against the hard constraints of
 // Section II-B1, generalized to per-node capacity vectors: each node's
 // allocated CPU and every rigid dimension (memory, GPU, ...) stay within

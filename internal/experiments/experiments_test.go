@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -22,79 +21,6 @@ func tinyConfig() Config {
 	cfg.HPC2NWeeks = 1
 	cfg.Check = true
 	return cfg
-}
-
-func TestBaseTracesDeterministic(t *testing.T) {
-	cfg := tinyConfig()
-	a, err := cfg.BaseTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cfg.BaseTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if len(a[i].Jobs) != len(b[i].Jobs) {
-			t.Fatal("trace sizes differ across generations")
-		}
-		for j := range a[i].Jobs {
-			if !reflect.DeepEqual(a[i].Jobs[j], b[i].Jobs[j]) {
-				t.Fatalf("trace %d job %d differs", i, j)
-			}
-		}
-	}
-}
-
-func TestScaledTracesHitTargets(t *testing.T) {
-	cfg := tinyConfig()
-	base, err := cfg.BaseTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled, err := cfg.ScaledTraces(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, load := range cfg.Loads {
-		for _, tr := range scaled[load] {
-			if got := tr.OfferedLoad(); math.Abs(got-load) > 1e-9 {
-				t.Errorf("trace %s load %v, want %v", tr.Name, got, load)
-			}
-		}
-	}
-}
-
-func TestRunInstance(t *testing.T) {
-	cfg := tinyConfig()
-	base, err := cfg.BaseTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled, err := base[0].ScaleToLoad(0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	algs := []string{"easy", "greedy-pmtn", "dynmcb8-asap-per"}
-	inst, err := RunInstance(context.Background(), scaled, algs, PaperPenalty, true, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := math.Inf(1)
-	for _, alg := range algs {
-		if inst.MaxStretch[alg] <= 0 {
-			t.Errorf("%s max stretch = %v", alg, inst.MaxStretch[alg])
-		}
-		if inst.Degradation[alg] < 1-1e-12 {
-			t.Errorf("%s degradation = %v < 1", alg, inst.Degradation[alg])
-		}
-		if inst.Degradation[alg] < best {
-			best = inst.Degradation[alg]
-		}
-	}
-	if math.Abs(best-1) > 1e-12 {
-		t.Errorf("no algorithm scored 1.0: %v", inst.Degradation)
-	}
 }
 
 func TestFigure1EndToEnd(t *testing.T) {

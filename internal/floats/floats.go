@@ -15,11 +15,6 @@ func AlmostEqual(a, b float64) bool {
 	return math.Abs(a-b) <= Eps
 }
 
-// AlmostEqualTol reports whether a and b differ by at most tol.
-func AlmostEqualTol(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
-
 // LessEq reports whether a <= b up to Eps.
 func LessEq(a, b float64) bool {
 	return a <= b+Eps

@@ -65,7 +65,7 @@ type Quantile struct {
 
 // NewQuantile returns a sketch with the given number of log-spaced bins
 // over [lo, hi). It panics if lo <= 0, hi <= lo, or bins <= 0 (programming
-// errors, like stats.NewHistogram).
+// errors).
 func NewQuantile(lo, hi float64, bins int) *Quantile {
 	if lo <= 0 || hi <= lo || bins <= 0 {
 		panic("online: NewQuantile requires 0 < lo < hi and bins > 0")

@@ -239,7 +239,16 @@ func (s *Scheduler) solve(ctl *sim.Controller, jids []int, now float64) (*core.A
 		if !ok {
 			return nil, false
 		}
-		core.ImproveAverageStretch(states, alloc, ctl.Cluster())
+		// Leftover CPU goes to jobs in ascending total CPU need, which
+		// raises their yields and so lowers their estimated stretch at the
+		// next event: the average-yield heuristic with the paper's
+		// tie-break by ID.
+		specs := s.specs[:0]
+		for i := range states {
+			specs = append(specs, states[i].JobSpec)
+		}
+		s.specs = specs
+		s.imp.ImproveAverageYieldRanked(specs, alloc, ctl.Cluster(), nil, nil)
 		return alloc, true
 	}
 	specs := s.specs[:0]

@@ -1,9 +1,6 @@
 package sched
 
-// Tests for the multi-job planning path: GreedyPlaceExtra with a Plan
-// carrying hypothetical usage from earlier placement decisions in the same
-// scheduling event, and for capacity-aware greedy placement on
-// heterogeneous clusters.
+// Tests for capacity-aware greedy placement on heterogeneous clusters.
 
 import (
 	"testing"
@@ -17,6 +14,7 @@ import (
 func buildSimCluster(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, body func(ctl *sim.Controller)) {
 	t.Helper()
 	done := false
+	var ys YieldScratch
 	s := &probe{onArrival: func(ctl *sim.Controller, jid int) {
 		if jid == 0 && !done {
 			done = true
@@ -27,7 +25,7 @@ func buildSimCluster(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, body
 				ctl.Start(jid, nodes)
 			}
 		}
-		ApplyGreedyYields(ctl)
+		ys.Apply(ctl)
 	}}
 	simulator, err := sim.New(sim.Config{Trace: tr, Cluster: cl, CheckInvariants: true}, s)
 	if err != nil {
@@ -39,75 +37,6 @@ func buildSimCluster(t *testing.T, tr *workload.Trace, cl *cluster.Cluster, body
 	if !done {
 		t.Fatal("probe body never ran")
 	}
-}
-
-// TestGreedyPlaceExtraAccountsPlannedMemory: a plan holding one node's
-// memory forces the next placement onto the other node, even though the
-// simulator still sees both nodes as free.
-func TestGreedyPlaceExtraAccountsPlannedMemory(t *testing.T) {
-	tr := &workload.Trace{Name: "plan", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
-		jb(0, 0, 1, 0.2, 0.6, 100),
-		jb(1, 0, 1, 0.2, 0.6, 100),
-	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes0, ok := GreedyPlaceExtra(ctl, 0, plan)
-		if !ok {
-			t.Fatal("job 0 placement failed")
-		}
-		plan.Commit(nodes0, 0.6, 0.2)
-		nodes1, ok := GreedyPlaceExtra(ctl, 1, plan)
-		if !ok {
-			t.Fatal("job 1 placement failed under plan")
-		}
-		if nodes1[0] == nodes0[0] {
-			t.Errorf("planned memory ignored: both 0.6-mem tasks on node %d", nodes0[0])
-		}
-	})
-}
-
-// TestGreedyPlaceExtraAccountsPlannedLoad: planned CPU load steers the next
-// task to the other node even with ample memory everywhere.
-func TestGreedyPlaceExtraAccountsPlannedLoad(t *testing.T) {
-	tr := &workload.Trace{Name: "plan", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
-		jb(0, 0, 1, 0.8, 0.1, 100),
-		jb(1, 0, 1, 0.8, 0.1, 100),
-	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes0, _ := GreedyPlaceExtra(ctl, 0, plan)
-		plan.Commit(nodes0, 0.1, 0.8)
-		nodes1, ok := GreedyPlaceExtra(ctl, 1, plan)
-		if !ok {
-			t.Fatal("job 1 placement failed under plan")
-		}
-		if nodes1[0] == nodes0[0] {
-			t.Errorf("planned load ignored: both 0.8-need tasks on node %d", nodes0[0])
-		}
-	})
-}
-
-// TestGreedyPlaceExtraPlanFillsMemory: once the plan has consumed all
-// memory, further placements must fail rather than oversubscribe.
-func TestGreedyPlaceExtraPlanFillsMemory(t *testing.T) {
-	tr := &workload.Trace{Name: "plan", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
-		jb(0, 0, 2, 0.1, 0.7, 100),
-		// Submitted after job 0 completes so the probe's generic finisher
-		// can start it on an empty cluster; the planning probe below runs
-		// at t=0.
-		jb(1, 200, 1, 0.1, 0.7, 100),
-	}}
-	buildSim(t, tr, func(ctl *sim.Controller) {
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes0, ok := GreedyPlaceExtra(ctl, 0, plan)
-		if !ok {
-			t.Fatal("job 0 placement failed")
-		}
-		plan.Commit(nodes0, 0.7, 0.1)
-		if _, ok := GreedyPlaceExtra(ctl, 1, plan); ok {
-			t.Error("placement succeeded although the plan holds all memory")
-		}
-	})
 }
 
 // TestGreedyPlacePrefersFatNodesRelativeLoad: on a fat/thin cluster the
@@ -138,8 +67,7 @@ func TestGreedyPlacePrefersFatNodesRelativeLoad(t *testing.T) {
 		// next placement must prefer the fat node again.
 		ctl.Start(1, []int{1})
 		ctl.SetYield(1, 1)
-		plan := NewPlan(ctl.NumNodes(), ctl.NumDims())
-		nodes2, ok := GreedyPlaceExtra(ctl, 1, plan)
+		nodes2, ok := GreedyPlace(ctl, 1)
 		if !ok {
 			t.Fatal("hypothetical placement failed")
 		}

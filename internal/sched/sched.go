@@ -64,60 +64,36 @@ func SpecOf(ctl *sim.Controller, jid int) core.JobSpec {
 // every rigid dimension (memory, and GPU etc. on multi-resource clusters;
 // tasks already placed in this call are taken into account). It returns
 // one node per task, or ok=false if some task cannot be placed. Cluster
-// state is not modified.
+// state is not modified. When the run configures a placement objective,
+// the relative-load score is replaced by the objective's score over the
+// same feasibility filter.
 func GreedyPlace(ctl *sim.Controller, jid int) (nodes []int, ok bool) {
-	return GreedyPlaceExtra(ctl, jid, nil)
-}
-
-// GreedyPlaceExtra is GreedyPlace with additional hypothetical usage: the
-// plan's extra rigid demands and load (indexed by node, may be nil) are
-// added on top of the simulator's current state. This lets callers plan
-// multi-job placements (e.g. resuming several paused jobs in one event)
-// without mutating the cluster between decisions. When the run configures
-// a placement objective, the relative-load score is replaced by the
-// objective's score over the same feasibility filter.
-func GreedyPlaceExtra(ctl *sim.Controller, jid int, extra *Plan) ([]int, bool) {
 	ji := ctl.JobLite(jid)
 	n := ctl.NumNodes()
 	d := ctl.NumDims()
-	if d == 2 && extra == nil && ctl.Objective() == nil {
-		// The paper's two-resource platform with no hypothetical usage is
-		// the placement hot path (every greedy admission and every
-		// DYNMCB8-ASAP arrival): answer each task's least-loaded-feasible
-		// query from the node index in O(log n) instead of scanning.
+	obj := ctl.Objective()
+	if d == 2 && obj == nil {
+		// The paper's two-resource platform is the placement hot path
+		// (every greedy admission and every DYNMCB8-ASAP arrival): answer
+		// each task's least-loaded-feasible query from the node index in
+		// O(log n) instead of scanning. Both this and the scan below are
+		// the inlined placement.LoadBalance objective (locked equivalent by
+		// TestDefaultObjectiveLock).
 		return greedyPlace2Indexed(ctl, ji)
 	}
-	plan := NewPlan(n, d)
-	if extra != nil {
-		copy(plan.Load, extra.Load)
-		for r := range plan.Rigid {
-			copy(plan.Rigid[r], extra.Rigid[r])
-		}
+	dems := rigidDemands(ji.Job, d)
+	placed := newTally(n, d)
+	if obj != nil {
+		return greedyPlaceObjective(ctl, ji, dems, placed, obj)
 	}
-	if obj := ctl.Objective(); obj != nil {
-		return greedyPlaceObjective(ctl, ji, plan, obj)
-	}
-	if d == 2 {
-		// The paper's two-resource platform is the placement hot path
-		// (every greedy admission and every DYNMCB8-ASAP arrival); keep it
-		// on the memory-only scan. The general path below computes exactly
-		// this for d == 2, and both are the inlined placement.LoadBalance
-		// objective (locked equivalent by TestGreedyDefaultObjectiveLock).
-		return greedyPlace2(ctl, ji, plan)
-	}
-	// Hoist the per-dimension demands out of the scan loops.
-	dems := make([]float64, d-1)
-	for r := range dems {
-		dems[r] = ji.Job.Demand(r + 1)
-	}
-	nodes := make([]int, 0, ji.Job.Tasks)
+	nodes = make([]int, 0, ji.Job.Tasks)
 	for task := 0; task < ji.Job.Tasks; task++ {
 		best := -1
 		bestLoad := math.Inf(1)
 		for node := 0; node < n; node++ {
 			fit := true
 			for r, dem := range dems {
-				if !floats.LessEq(dem, ctl.FreeRes(node, r+1)-plan.Rigid[r][node]) {
+				if !floats.LessEq(dem, ctl.FreeRes(node, r+1)-placed.rigid[r][node]) {
 					fit = false
 					break
 				}
@@ -125,7 +101,7 @@ func GreedyPlaceExtra(ctl *sim.Controller, jid int, extra *Plan) ([]int, bool) {
 			if !fit {
 				continue
 			}
-			load := (ctl.CPULoad(node) + plan.Load[node]) / ctl.CPUCap(node)
+			load := (ctl.CPULoad(node) + placed.load[node]) / ctl.CPUCap(node)
 			if load < bestLoad {
 				bestLoad = load
 				best = node
@@ -135,53 +111,58 @@ func GreedyPlaceExtra(ctl *sim.Controller, jid int, extra *Plan) ([]int, bool) {
 			return nil, false
 		}
 		nodes = append(nodes, best)
-		plan.Load[best] += ji.Job.CPUNeed
-		for r, dem := range dems {
-			plan.Rigid[r][best] += dem
-		}
+		placed.add(best, ji.Job.CPUNeed, dems)
 	}
 	return nodes, true
 }
 
-// greedyPlace2 is the two-resource specialization of the placement scan.
-func greedyPlace2(ctl *sim.Controller, ji sim.JobInfo, plan *Plan) ([]int, bool) {
-	n := ctl.NumNodes()
-	memReq := ji.Job.MemReq
-	planMem := plan.Rigid[0]
-	nodes := make([]int, 0, ji.Job.Tasks)
-	for task := 0; task < ji.Job.Tasks; task++ {
-		best := -1
-		bestLoad := math.Inf(1)
-		for node := 0; node < n; node++ {
-			if !floats.LessEq(memReq, ctl.FreeMem(node)-planMem[node]) {
-				continue
-			}
-			load := (ctl.CPULoad(node) + plan.Load[node]) / ctl.CPUCap(node)
-			if load < bestLoad {
-				bestLoad = load
-				best = node
-			}
-		}
-		if best < 0 {
-			return nil, false
-		}
-		nodes = append(nodes, best)
-		planMem[best] += memReq
-		plan.Load[best] += ji.Job.CPUNeed
+// rigidDemands hoists a task's demand in every rigid dimension 1..d-1 out
+// of the placement scan loops.
+func rigidDemands(j workload.Job, d int) []float64 {
+	dems := make([]float64, d-1)
+	for r := range dems {
+		dems[r] = j.Demand(r + 1)
 	}
-	return nodes, true
+	return dems
+}
+
+// tally accumulates the usage of the tasks one GreedyPlace call has already
+// placed, on top of the simulator's live state.
+type tally struct {
+	// rigid[r][node] is the placed demand in rigid dimension r+1 (rigid[0]
+	// is memory).
+	rigid [][]float64
+	// load[node] is the placed CPU load.
+	load []float64
+}
+
+// newTally returns an empty tally for n nodes and d resource dimensions.
+func newTally(n, d int) *tally {
+	t := &tally{load: make([]float64, n), rigid: make([][]float64, d-1)}
+	for r := range t.rigid {
+		t.rigid[r] = make([]float64, n)
+	}
+	return t
+}
+
+// add records one task placed on node.
+func (t *tally) add(node int, cpuNeed float64, dems []float64) {
+	t.load[node] += cpuNeed
+	for r, dem := range dems {
+		t.rigid[r][node] += dem
+	}
 }
 
 // greedyPlace2Indexed answers the two-resource placement scan from the
 // simulator's node index. Tasks already placed in this call are overlaid
-// onto the touched leaves with exactly the expressions of the linear scan
-// — free memory minus accumulated plan memory, (load plus accumulated plan
-// load) over capacity — and every touched leaf is restored to its live
-// values before returning, on success and on failure alike. Untouched
-// leaves already hold the scan's values (a zero plan term only flips the
-// sign of a zero, which no comparison observes), and ArgminLoad applies the
-// same strict-improvement, ascending-node-order selection as the scan, so
-// the chosen nodes are identical bit for bit.
+// onto the touched leaves with exactly the expressions of GreedyPlace's
+// linear scan — free memory minus the memory placed so far, (load plus the
+// load placed so far) over capacity — and every touched leaf is restored
+// to its live values before returning, on success and on failure alike.
+// Untouched leaves already hold the scan's values (a zero placed term only
+// flips the sign of a zero, which no comparison observes), and ArgminLoad
+// applies the same strict-improvement, ascending-node-order selection as
+// the scan, so the chosen nodes are identical bit for bit.
 func greedyPlace2Indexed(ctl *sim.Controller, ji sim.JobInfo) ([]int, bool) {
 	t := ctl.NodeIndex()
 	memReq := ji.Job.MemReq
@@ -225,12 +206,12 @@ func greedyPlace2Indexed(ctl *sim.Controller, ji sim.JobInfo) ([]int, bool) {
 	return nodes, true
 }
 
-// planState adapts the simulator's live usage plus an in-event placement
-// plan to placement.State, so objectives score nodes as if the plan's
-// placements had already happened.
+// planState adapts the simulator's live usage plus the tasks placed so far
+// in one GreedyPlace call (nil: none) to placement.State, so objectives
+// score nodes as if those placements had already happened.
 type planState struct {
-	ctl  *sim.Controller
-	plan *Plan
+	ctl    *sim.Controller
+	placed *tally
 }
 
 // Dims implements placement.State.
@@ -239,16 +220,16 @@ func (s planState) Dims() int { return s.ctl.NumDims() }
 // Cap implements placement.State.
 func (s planState) Cap(node, k int) float64 { return s.ctl.ResCap(node, k) }
 
-// Free implements placement.State: free capacity net of the plan. For the
-// fluid CPU dimension this is capacity minus load (possibly negative under
-// time-sharing).
+// Free implements placement.State: free capacity net of the placed tasks.
+// For the fluid CPU dimension this is capacity minus load (possibly
+// negative under time-sharing).
 func (s planState) Free(node, k int) float64 {
 	if k == 0 {
 		return s.ctl.CPUCap(node) - s.CPULoad(node)
 	}
 	free := s.ctl.FreeRes(node, k)
-	if s.plan != nil && k-1 < len(s.plan.Rigid) {
-		free -= s.plan.Rigid[k-1][node]
+	if s.placed != nil && k-1 < len(s.placed.rigid) {
+		free -= s.placed.rigid[k-1][node]
 	}
 	return free
 }
@@ -256,8 +237,8 @@ func (s planState) Free(node, k int) float64 {
 // CPULoad implements placement.State.
 func (s planState) CPULoad(node int) float64 {
 	load := s.ctl.CPULoad(node)
-	if s.plan != nil {
-		load += s.plan.Load[node]
+	if s.placed != nil {
+		load += s.placed.load[node]
 	}
 	return load
 }
@@ -267,20 +248,15 @@ func (s planState) Cost(node int) float64 { return s.ctl.NodeCost(node) }
 
 // greedyPlaceObjective is the objective-scored placement scan: the same
 // per-task feasibility filter as the default paths (free capacity in every
-// rigid dimension, plan-aware), with the node choice delegated to
-// placement.Pick under the configured objective.
-func greedyPlaceObjective(ctl *sim.Controller, ji sim.JobInfo, plan *Plan, obj placement.Objective) ([]int, bool) {
+// rigid dimension, net of the tasks already placed), with the node choice
+// delegated to placement.Pick under the configured objective.
+func greedyPlaceObjective(ctl *sim.Controller, ji sim.JobInfo, dems []float64, placed *tally, obj placement.Objective) ([]int, bool) {
 	n := ctl.NumNodes()
-	d := ctl.NumDims()
-	dems := make([]float64, d-1)
-	for r := range dems {
-		dems[r] = ji.Job.Demand(r + 1)
-	}
-	st := planState{ctl: ctl, plan: plan}
+	st := planState{ctl: ctl, placed: placed}
 	dem := placement.Demand(ji.Job.Demand)
 	feasible := func(node int) bool {
 		for r, dm := range dems {
-			if !floats.LessEq(dm, ctl.FreeRes(node, r+1)-plan.Rigid[r][node]) {
+			if !floats.LessEq(dm, ctl.FreeRes(node, r+1)-placed.rigid[r][node]) {
 				return false
 			}
 		}
@@ -293,10 +269,7 @@ func greedyPlaceObjective(ctl *sim.Controller, ji sim.JobInfo, plan *Plan, obj p
 			return nil, false
 		}
 		nodes = append(nodes, best)
-		plan.Load[best] += ji.Job.CPUNeed
-		for r, dm := range dems {
-			plan.Rigid[r][best] += dm
-		}
+		placed.add(best, ji.Job.CPUNeed, dems)
 	}
 	return nodes, true
 }
@@ -325,51 +298,6 @@ func ImproveRank(ctl *sim.Controller, specs []core.JobSpec, alloc *core.Allocati
 		}
 	}
 	return rank
-}
-
-// Plan accumulates hypothetical extra rigid demands and CPU load per node
-// across a sequence of placement decisions within one scheduling event.
-type Plan struct {
-	// Rigid[r][node] is the planned extra demand in rigid dimension r+1
-	// (Rigid[0] is memory).
-	Rigid [][]float64
-	// Load[node] is the planned extra CPU load.
-	Load []float64
-}
-
-// NewPlan returns an empty plan for n nodes and d resource dimensions.
-func NewPlan(n, d int) *Plan {
-	if d < 2 {
-		d = 2
-	}
-	p := &Plan{Load: make([]float64, n), Rigid: make([][]float64, d-1)}
-	for r := range p.Rigid {
-		p.Rigid[r] = make([]float64, n)
-	}
-	return p
-}
-
-// Mem returns the plan's memory row (rigid dimension 1).
-func (p *Plan) Mem() []float64 { return p.Rigid[0] }
-
-// Commit adds a placement with the given memory and CPU shape to the plan
-// (the d=2 case; use CommitJob for jobs with further demands).
-func (p *Plan) Commit(nodes []int, memReq, cpuNeed float64) {
-	for _, node := range nodes {
-		p.Rigid[0][node] += memReq
-		p.Load[node] += cpuNeed
-	}
-}
-
-// CommitJob adds a placement of one of the job's tasks per listed node to
-// the plan, covering every rigid dimension the plan tracks.
-func (p *Plan) CommitJob(nodes []int, j workload.Job) {
-	for _, node := range nodes {
-		p.Load[node] += j.CPUNeed
-		for r := range p.Rigid {
-			p.Rigid[r][node] += j.Demand(r + 1)
-		}
-	}
 }
 
 // ByPriority returns jids sorted by the priority function evaluated at now:
@@ -447,13 +375,6 @@ func (ys *YieldScratch) Apply(ctl *sim.Controller) {
 		ys.vals = append(ys.vals, alloc.YieldOf[jid])
 	}
 	ApplyYieldsList(ctl, running, ys.vals)
-}
-
-// ApplyGreedyYields is YieldScratch.Apply with one-shot buffers, for
-// callers off the hot path.
-func ApplyGreedyYields(ctl *sim.Controller) {
-	var ys YieldScratch
-	ys.Apply(ctl)
 }
 
 // ApplyYields sets each listed running job's yield, zeroing all of them

@@ -35,6 +35,7 @@ func TestNewUnknown(t *testing.T) {
 func buildSim(t *testing.T, tr *workload.Trace, body func(ctl *sim.Controller)) {
 	t.Helper()
 	done := false
+	var ys YieldScratch
 	s := &probe{onArrival: func(ctl *sim.Controller, jid int) {
 		if jid == 0 && !done {
 			done = true
@@ -47,7 +48,7 @@ func buildSim(t *testing.T, tr *workload.Trace, body func(ctl *sim.Controller)) 
 				ctl.Start(jid, nodes)
 			}
 		}
-		ApplyGreedyYields(ctl)
+		ys.Apply(ctl)
 	}}
 	simulator, err := sim.New(sim.Config{Trace: tr, CheckInvariants: true}, s)
 	if err != nil {
@@ -177,7 +178,7 @@ func TestByPriority(t *testing.T) {
 	})
 }
 
-func TestApplyGreedyYields(t *testing.T) {
+func TestYieldScratchApply(t *testing.T) {
 	tr := &workload.Trace{Name: "y", Nodes: 2, NodeMemGB: 8, Jobs: []workload.Job{
 		jb(0, 0, 1, 1.0, 0.1, 100),
 		jb(1, 0, 1, 1.0, 0.1, 100),
@@ -188,7 +189,8 @@ func TestApplyGreedyYields(t *testing.T) {
 		ctl.Start(0, []int{0})
 		ctl.Start(1, []int{0})
 		ctl.Start(2, []int{1})
-		ApplyGreedyYields(ctl)
+		var ys YieldScratch
+		ys.Apply(ctl)
 		// Uniform base yield = 1/max(1, 2.0) = 0.5. Jobs 0 and 1 fill
 		// node 0 exactly; job 2 is cheapest and is raised to 1.0.
 		if y := ctl.Job(0).Yield; math.Abs(y-0.5) > 1e-9 {
@@ -201,31 +203,6 @@ func TestApplyGreedyYields(t *testing.T) {
 			t.Errorf("job 2 yield = %v, want 1.0 (average-yield heuristic)", y)
 		}
 	})
-}
-
-func TestPlanCommit(t *testing.T) {
-	p := NewPlan(3, 2)
-	p.Commit([]int{0, 0, 2}, 0.3, 0.5)
-	if math.Abs(p.Mem()[0]-0.6) > 1e-12 || math.Abs(p.Load[0]-1.0) > 1e-12 {
-		t.Errorf("node 0 plan: mem %v load %v", p.Mem()[0], p.Load[0])
-	}
-	if p.Mem()[1] != 0 || p.Load[1] != 0 {
-		t.Error("untouched node changed")
-	}
-	if math.Abs(p.Mem()[2]-0.3) > 1e-12 {
-		t.Errorf("node 2 mem %v", p.Mem()[2])
-	}
-}
-
-func TestPlanCommitJobRigidDims(t *testing.T) {
-	p := NewPlan(2, 3)
-	p.CommitJob([]int{1}, workload.Job{CPUNeed: 0.4, MemReq: 0.2, Extra: []float64{0.7}})
-	if math.Abs(p.Rigid[0][1]-0.2) > 1e-12 || math.Abs(p.Rigid[1][1]-0.7) > 1e-12 {
-		t.Errorf("rigid plan = %v", p.Rigid)
-	}
-	if math.Abs(p.Load[1]-0.4) > 1e-12 {
-		t.Errorf("load plan = %v", p.Load)
-	}
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {

@@ -120,8 +120,6 @@ func (r *Result) JobSegments(jid int) []Segment {
 	open := func(t float64, st SegmentState, y float64) {
 		cur = Segment{From: t, State: st, Yield: y}
 	}
-	// splitFrozen opens a frozen segment and queues the running segment
-	// that follows it.
 	for _, e := range evs {
 		switch e.Kind {
 		case TlSubmit:
@@ -152,16 +150,10 @@ func (r *Result) JobSegments(jid int) []Segment {
 			closeAt(e.Time)
 			cur = Segment{From: e.Time, To: e.Time, State: SegRunning}
 		}
-		// A freeze ends silently when the clock passes FrozenUntil; since
-		// freezes always end before the job's next transition or finish,
-		// split lazily here.
-		if cur.State == SegFrozen && e.FrozenUntil > 0 {
-			// Leave open; the next event (or finish) closes it. Splitting
-			// at the exact thaw instant happens below.
-			continue
-		}
 	}
-	// Post-process: split frozen segments at their thaw instant.
+	// A freeze ends silently when the clock passes FrozenUntil, before the
+	// job's next transition or finish, so a frozen segment runs until the
+	// next event closes it; split it at its thaw instant here.
 	out := segs[:0:0]
 	for _, seg := range segs {
 		if seg.State != SegFrozen {

@@ -335,9 +335,9 @@ func TestNormalizedSortingOnUnequalBins(t *testing.T) {
 	}
 }
 
-// TestMeanCapsZeroDimension: a dimension no node provides normalizes by 1
+// TestNormZeroCapacityDimension: a dimension no node provides normalizes by 1
 // (not 0), so zero demands stay zero instead of NaN.
-func TestMeanCapsZeroDimension(t *testing.T) {
+func TestNormZeroCapacityDimension(t *testing.T) {
 	nodes := []cluster.NodeSpec{cluster.Spec(1, 1, 0), cluster.Spec(1, 1, 0)}
 	norm := meanCaps(nodes)
 	if norm[2] != 1 {

@@ -829,19 +829,6 @@ func packDecreasing(items []Item, nodes []cluster.NodeSpec, obj placement.Object
 	return assign, true
 }
 
-// ByName returns the packer registered under name ("mcb8", "ffd", "bfd").
-func ByName(name string) (Packer, error) {
-	switch name {
-	case "mcb8":
-		return MCB8{}, nil
-	case "ffd":
-		return FirstFitDecreasing{}, nil
-	case "bfd":
-		return BestFitDecreasing{}, nil
-	}
-	return nil, fmt.Errorf("vectorpack: unknown packer %q", name)
-}
-
 // sortedByNormMax returns item indices by non-increasing largest
 // normalized requirement, ties by index.
 func sortedByNormMax(items []Item, norm cluster.Vec) []int {

@@ -234,15 +234,13 @@ func TestPackTrivialFeasibilityProperty(t *testing.T) {
 	}
 }
 
+// TestByName: each packer reports the name the ablation rows and records
+// know it by.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"mcb8", "ffd", "bfd"} {
-		p, err := ByName(name)
-		if err != nil || p.Name() != name {
-			t.Errorf("ByName(%q) = %v, %v", name, p, err)
+	for name, p := range map[string]Packer{"mcb8": MCB8{}, "ffd": FirstFitDecreasing{}, "bfd": BestFitDecreasing{}} {
+		if p.Name() != name {
+			t.Errorf("%T.Name() = %q, want %q", p, p.Name(), name)
 		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown packer accepted")
 	}
 }
 

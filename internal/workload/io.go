@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -316,14 +317,17 @@ func (tr *TraceReader) applyMeta(line string) error {
 		if err != nil {
 			return fmt.Errorf("workload: line %d: bad nodemem_gb: %v", tr.lineno, err)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("workload: line %d: nodemem_gb %g must be finite", tr.lineno, v)
+		}
 		tr.meta.NodeMemGB = v
 	case strings.HasPrefix(meta, "offered_load:"):
 		v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(meta, "offered_load:")), 64)
 		if err != nil {
 			return fmt.Errorf("workload: line %d: bad offered_load: %v", tr.lineno, err)
 		}
-		if !(v > 0) {
-			return fmt.Errorf("workload: line %d: declared offered load %g must be positive", tr.lineno, v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("workload: line %d: declared offered load %g must be finite and positive", tr.lineno, v)
 		}
 		tr.declLoad, tr.hasDeclLoad = v, true
 	}

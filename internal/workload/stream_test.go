@@ -89,8 +89,22 @@ func TestStreamTraceErrorsCarryLineNumbers(t *testing.T) {
 		{"bad number", header + "0 1 1 0.5 0.5 10\nx 2 1 0.5 0.5 10\n", "line 6"},
 		{"invalid job", header + "0 1 0 0.5 0.5 10\n", "line 5"},
 		{"submit disorder", header + "0 9 1 0.5 0.5 10\n1 2 1 0.5 0.5 10\n", "line 6"},
+		// NaN passes a plain `x < 0` range check; NaN and infinite values
+		// are invalid in every numeric field.
+		{"NaN submit", header + "0 NaN 1 0.5 0.5 10\n", "line 5"},
+		{"infinite submit", header + "0 +Inf 1 0.5 0.5 10\n", "line 5"},
+		{"NaN cpu need", header + "0 1 1 NaN 0.5 10\n", "line 5"},
+		{"NaN memory", header + "0 1 1 0.5 NaN 10\n", "line 5"},
+		{"NaN exec time", header + "0 1 1 0.5 0.5 NaN\n", "line 5"},
+		{"infinite exec time", header + "0 1 1 0.5 0.5 +Inf\n", "line 5"},
+		{"NaN weight", header + "0 1 1 0.5 0.5 10 NaN\n", "line 5"},
+		{"infinite weight", header + "0 1 1 0.5 0.5 10 +Inf\n", "line 5"},
+		{"NaN extra demand", header + "0 1 1 0.5 0.5 10 1 NaN\n", "line 5"},
 	}
 	for _, c := range cases {
+		if _, err := ReadTrace(strings.NewReader(c.doc)); err == nil {
+			t.Errorf("%s: ReadTrace accepted the trace", c.name)
+		}
 		sr, err := StreamTrace(strings.NewReader(c.doc))
 		if err != nil {
 			t.Fatalf("%s: header rejected: %v", c.name, err)
@@ -126,6 +140,12 @@ func TestStreamTraceHeaderErrors(t *testing.T) {
 	// A header without a nodes declaration is unusable for streaming.
 	if _, err := StreamTrace(strings.NewReader("id submit tasks cpu_need mem_req exec_time\n")); err == nil {
 		t.Error("nodeless header accepted")
+	}
+	for _, meta := range []string{"# nodemem_gb: NaN", "# offered_load: +Inf"} {
+		doc := "# nodes: 4\n" + meta + "\nid submit tasks cpu_need mem_req exec_time\n"
+		if _, err := StreamTrace(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: error %v, want a line 2 error", meta, err)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -89,19 +90,20 @@ func (j Job) Validate(nodes int) error {
 		return fmt.Errorf("workload: job %d has %d tasks", j.ID, j.Tasks)
 	case nodes > 0 && j.Tasks > nodes:
 		return fmt.Errorf("workload: job %d needs %d tasks on %d nodes", j.ID, j.Tasks, nodes)
-	case j.Submit < 0:
-		return fmt.Errorf("workload: job %d has negative submit time %g", j.ID, j.Submit)
-	case j.CPUNeed <= 0 || j.CPUNeed > 1:
+	// The range checks are negated so NaN fails them too.
+	case !(j.Submit >= 0) || math.IsInf(j.Submit, 1):
+		return fmt.Errorf("workload: job %d has submit time %g, want finite and non-negative", j.ID, j.Submit)
+	case !(j.CPUNeed > 0 && j.CPUNeed <= 1):
 		return fmt.Errorf("workload: job %d has CPU need %g outside (0,1]", j.ID, j.CPUNeed)
-	case j.MemReq <= 0 || j.MemReq > 1:
+	case !(j.MemReq > 0 && j.MemReq <= 1):
 		return fmt.Errorf("workload: job %d has memory requirement %g outside (0,1]", j.ID, j.MemReq)
-	case j.ExecTime <= 0:
-		return fmt.Errorf("workload: job %d has execution time %g", j.ID, j.ExecTime)
-	case j.Weight < 0:
-		return fmt.Errorf("workload: job %d has negative weight %g", j.ID, j.Weight)
+	case !(j.ExecTime > 0) || math.IsInf(j.ExecTime, 1):
+		return fmt.Errorf("workload: job %d has execution time %g, want finite and positive", j.ID, j.ExecTime)
+	case !(j.Weight >= 0) || math.IsInf(j.Weight, 1):
+		return fmt.Errorf("workload: job %d has weight %g, want finite and non-negative", j.ID, j.Weight)
 	}
 	for k, x := range j.Extra {
-		if x < 0 || x > 1 {
+		if !(x >= 0 && x <= 1) {
 			return fmt.Errorf("workload: job %d has demand %g outside [0,1] in dimension %d", j.ID, x, 2+k)
 		}
 	}
