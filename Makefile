@@ -1,7 +1,11 @@
 # Build/test entry points; `make ci` is what the repository considers green.
+#
+# `make perf` runs one end-to-end perfbench measurement and prints its JSON
+# line: W picks the workload (tablei, fed-easy, fed-gpu), SEED the seed and
+# TRACE=1 adds the per-layer spans, e.g. `make perf W=fed-gpu SEED=7`.
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare fuzz ci
+.PHONY: all build test race bench bench-json bench-compare fuzz perf ci
 
 all: build
 
@@ -37,5 +41,11 @@ bench-compare:
 # runs as a normal test in `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/swf/
+
+W ?= tablei
+SEED ?= 42
+TRACE ?= 0
+perf:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 20 --trace $(TRACE)
 
 ci: build test race

@@ -132,9 +132,12 @@ type packProbe struct {
 	// dimension changes with the yields). Accumulated in item order, exactly
 	// as pack's per-probe loop would.
 	rigidTotals []float64
-	buf         vectorpack.PackBuffer
-	repack      vectorpack.RepackState // warm-start state for the MCB path
-	best        []int                  // assignment of the last feasible probe
+	// capTotals caches c.TotalCap(k) per dimension for the bound in pack,
+	// refreshed by every reset.
+	capTotals []float64
+	buf       vectorpack.PackBuffer
+	repack    vectorpack.RepackState // warm-start state for the MCB path
+	best      []int                  // assignment of the last feasible probe
 
 	alloc     *Allocation // reused result object, rebuilt by allocation()
 	nodesBack []int       // flat backing for the per-job node lists
@@ -145,10 +148,71 @@ type packProbe struct {
 // calls, so a scheduler invoking MaxMinYield or MinEstimatedStretch on
 // every event reuses one set of allocations for the lifetime of a run. The
 // zero value is ready; a workspace must not be used concurrently.
+//
+// A workspace also memoizes its last successful MaxMinYield instance. A
+// periodic repack whose job set did not change since the previous tick
+// hands the allocator the bit-identical instance again; such a call
+// rebuilds the previous result without packing. Any other call on the
+// workspace (a different instance, a failed solve, MinEstimatedStretch)
+// clears the memo first.
 type Workspace struct {
 	probe packProbe
 	specs []JobSpec
+	memo  yieldMemo
 }
+
+// yieldMemo identifies a workspace's last successful MaxMinYield instance:
+// a deep copy of every JobSpec field the solver reads, plus the cluster and
+// packer it ran with. The call's winning assignment and yields are the
+// probe's best and yields, which only the next allocator call on the
+// workspace overwrites, after clearing the memo.
+type yieldMemo struct {
+	valid  bool
+	jobs   []JobSpec
+	extra  []float64 // flat backing of the copied Extra slices
+	c      *cluster.Cluster
+	packer vectorpack.Packer
+}
+
+// matches reports whether the instance is bit-identical to the memoized one.
+func (m *yieldMemo) matches(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) bool {
+	if !m.valid || c != m.c || len(jobs) != len(m.jobs) || !samePacker(packer, m.packer) {
+		return false
+	}
+	for i := range jobs {
+		a, b := &jobs[i], &m.jobs[i]
+		if a.ID != b.ID || a.Tasks != b.Tasks || !sameBits(a.CPUNeed, b.CPUNeed) ||
+			!sameBits(a.MemReq, b.MemReq) || !sameBits(a.Weight, b.Weight) ||
+			len(a.Extra) != len(b.Extra) {
+			return false
+		}
+		for k := range a.Extra {
+			if !sameBits(a.Extra[k], b.Extra[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// record memoizes the instance, copying Extra so later caller writes to
+// the passed slices cannot alias the memo.
+func (m *yieldMemo) record(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) {
+	m.extra = m.extra[:0]
+	for i := range jobs {
+		m.extra = append(m.extra, jobs[i].Extra...)
+	}
+	m.jobs = append(m.jobs[:0], jobs...)
+	off := 0
+	for i := range m.jobs {
+		n := len(m.jobs[i].Extra)
+		m.jobs[i].Extra = m.extra[off : off+n : off+n]
+		off += n
+	}
+	m.c, m.packer, m.valid = c, packer, true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // samePacker reports whether two packer values are interchangeable for
 // warm-start purposes. Incomparable packer types (none exist in this
@@ -205,6 +269,13 @@ func (p *packProbe) reset(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.
 	p.mcb, p.isMCB = vectorpack.MCB8{}, false
 	if m, ok := packer.(vectorpack.MCB8); ok {
 		p.mcb, p.isMCB = m, true
+	}
+	if cap(p.capTotals) < d {
+		p.capTotals = make([]float64, d)
+	}
+	p.capTotals = p.capTotals[:d]
+	for k := range p.capTotals {
+		p.capTotals[k] = c.TotalCap(k)
 	}
 	if same {
 		return
@@ -326,7 +397,7 @@ func (p *packProbe) pack() bool {
 	copy(p.totals[1:], p.rigidTotals[1:])
 	p.totals[0] = cpuTotal
 	for k := 0; k < d; k++ {
-		if p.totals[k] > p.c.TotalCap(k)+floats.Eps {
+		if p.totals[k] > p.capTotals[k]+floats.Eps {
 			return false
 		}
 	}
@@ -394,12 +465,20 @@ func MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) (
 }
 
 // MaxMinYield is the workspace-backed form of the package-level function;
-// repeated calls reuse the workspace's buffers.
+// repeated calls reuse the workspace's buffers, and a call repeating the
+// previous successful instance bit for bit replays its result without
+// packing (see Workspace).
 func (w *Workspace) MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vectorpack.Packer) (*Allocation, bool) {
 	if len(jobs) == 0 {
+		w.memo.valid = false
 		return NewAllocation(), true
 	}
 	p := &w.probe
+	if w.memo.matches(jobs, c, packer) {
+		p.jobs = jobs
+		return p.allocation(), true
+	}
+	w.memo.valid = false
 	p.reset(jobs, c, packer)
 	feasible := func(y float64) bool {
 		for ji := range jobs {
@@ -417,6 +496,7 @@ func (w *Workspace) MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vecto
 	}
 	bestY := 0.0
 	if feasible(1) {
+		w.memo.record(jobs, c, packer)
 		return p.allocation(), true
 	}
 	lo, hi := 0.0, 1.0
@@ -449,6 +529,7 @@ func (w *Workspace) MaxMinYield(jobs []JobSpec, c *cluster.Cluster, packer vecto
 		}
 		p.yields[ji] = w
 	}
+	w.memo.record(jobs, c, packer)
 	return p.allocation(), true
 }
 
@@ -491,6 +572,7 @@ type nodeCnt struct {
 // allocation of its node bookkeeping is measurable at scale.
 type ImproveScratch struct {
 	used  []float64
+	slot  []int // node -> index of its pair among the current job's pairs
 	pairs []nodeCnt
 	off   []int
 	order []int
@@ -506,11 +588,18 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 	for i := range used {
 		used[i] = 0
 	}
+	if cap(sc.slot) < c.N() {
+		sc.slot = make([]int, c.N())
+	}
+	slot := sc.slot[:c.N()]
 	// Per-job (node, task count) pairs, flattened into one slice with
 	// offsets — the per-job map this used to be was the dominant allocation
 	// of every scheduling event. Pair order is first-occurrence order;
 	// every per-node quantity below is accumulated independently per node,
-	// so the order does not affect the arithmetic.
+	// so the order does not affect the arithmetic. slot finds a node's pair
+	// in O(1); it is never cleared, because an entry left by an earlier job
+	// or call either points outside the current job's pairs or at a pair of
+	// another node.
 	pairs := sc.pairs[:0]
 	if cap(sc.off) < len(jobs)+1 {
 		sc.off = make([]int, len(jobs)+1)
@@ -521,15 +610,10 @@ func (sc *ImproveScratch) ImproveAverageYieldRanked(jobs []JobSpec, alloc *Alloc
 		j := &jobs[ji]
 		start := len(pairs)
 		for _, node := range alloc.NodesOf[j.ID] {
-			found := false
-			for k := start; k < len(pairs); k++ {
-				if pairs[k].node == node {
-					pairs[k].cnt++
-					found = true
-					break
-				}
-			}
-			if !found {
+			if k := slot[node]; k >= start && k < len(pairs) && pairs[k].node == node {
+				pairs[k].cnt++
+			} else {
+				slot[node] = len(pairs)
 				pairs = append(pairs, nodeCnt{node, 1})
 			}
 			used[node] += j.CPUNeed * alloc.YieldOf[j.ID]
@@ -680,6 +764,7 @@ func MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster, packer vectorp
 // MinEstimatedStretch is the workspace-backed form of the package-level
 // function; repeated calls reuse the workspace's buffers.
 func (w *Workspace) MinEstimatedStretch(jobs []StretchState, c *cluster.Cluster, packer vectorpack.Packer, T float64) (*Allocation, bool) {
+	w.memo.valid = false
 	if len(jobs) == 0 {
 		return NewAllocation(), true
 	}

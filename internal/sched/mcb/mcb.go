@@ -324,7 +324,7 @@ func (s *Scheduler) apply(ctl *sim.Controller, inSet []int, alloc *core.Allocati
 			ctl.Pause(jid)
 			continue
 		}
-		if !sim.SameMultiset(ctl.JobNodes(jid), alloc.NodesOf[jid]) {
+		if !ctl.SameMultiset(ctl.JobNodes(jid), alloc.NodesOf[jid]) {
 			ctl.Pause(jid)
 		}
 	}

@@ -233,21 +233,3 @@ func TestPeriodicTicksDoNotLeakAfterCompletion(t *testing.T) {
 		t.Errorf("makespan = %v, want 650 (start at tick 600 + 50s)", res.Makespan)
 	}
 }
-
-func TestSameMultiset(t *testing.T) {
-	cases := []struct {
-		a, b []int
-		want bool
-	}{
-		{[]int{1, 2}, []int{2, 1}, true},
-		{[]int{1, 1, 2}, []int{1, 2, 2}, false},
-		{[]int{}, []int{}, true},
-		{[]int{1}, []int{1, 1}, false},
-		{[]int{3, 3}, []int{3, 3}, true},
-	}
-	for _, c := range cases {
-		if got := sim.SameMultiset(c.a, c.b); got != c.want {
-			t.Errorf("SameMultiset(%v, %v) = %v", c.a, c.b, got)
-		}
-	}
-}

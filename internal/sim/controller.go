@@ -274,6 +274,7 @@ func (c *Controller) Start(jid int, nodes []int) {
 	if len(nodes) != j.job.Tasks {
 		panic(fmt.Sprintf("sim: Start job %d with %d nodes for %d tasks", jid, len(nodes), j.job.Tasks))
 	}
+	s.checkNodes("Start", jid, nodes)
 	s.occupyNodes(j, nodes)
 	j.state = Running
 	j.yield = 0
@@ -338,9 +339,10 @@ func (c *Controller) Resume(jid int, nodes []int) {
 	if len(nodes) != j.job.Tasks {
 		panic(fmt.Sprintf("sim: Resume job %d with %d nodes for %d tasks", jid, len(nodes), j.job.Tasks))
 	}
+	s.checkNodes("Resume", jid, nodes)
 	sameEvent := j.lastPauseWas && j.lastPauseTime == s.now
 	switch {
-	case sameEvent && SameMultiset(nodes, j.lastNodes):
+	case sameEvent && s.sameMultiset(nodes, j.lastNodes):
 		// Undo: the job never actually moved. The pause's accounting is
 		// refunded in full, including the LastPause timestamp — the refund
 		// says the pause never physically happened, so JobInfo must not
@@ -384,7 +386,7 @@ func (c *Controller) Resume(jid int, nodes []int) {
 		// above refunds or reclassifies it (see Observer docs). A
 		// reclassified pair surfaces the migration; a plain or refunded
 		// resume surfaces a restart.
-		if sameEvent && !SameMultiset(nodes, j.lastNodes) {
+		if sameEvent && !s.sameMultiset(nodes, j.lastNodes) {
 			s.obs.JobMigrated(s.now, jid, append([]int(nil), nodes...))
 		} else {
 			s.obs.JobStarted(s.now, jid, append([]int(nil), nodes...))
@@ -405,7 +407,8 @@ func (c *Controller) Migrate(jid int, nodes []int) {
 	if len(nodes) != j.job.Tasks {
 		panic(fmt.Sprintf("sim: Migrate job %d with %d nodes for %d tasks", jid, len(nodes), j.job.Tasks))
 	}
-	if SameMultiset(nodes, j.nodes) {
+	s.checkNodes("Migrate", jid, nodes)
+	if s.sameMultiset(nodes, j.nodes) {
 		return
 	}
 	s.releaseNodes(j)
@@ -455,16 +458,19 @@ func (c *Controller) Penalty() float64 { return c.sim.cfg.Penalty }
 
 // SameMultiset reports whether a and b contain the same nodes with the same
 // multiplicities. Tasks are interchangeable, so allocations differing only
-// by a permutation are physically identical. Jobs rarely exceed a handful
-// of tasks, so small inputs take an allocation-free quadratic count-compare
-// path; only larger ones fall back to a counting map.
-func SameMultiset(a, b []int) bool {
+// by a permutation are physically identical. Both lists must hold node ids
+// of this cluster (0 to NumNodes()-1).
+func (c *Controller) SameMultiset(a, b []int) bool { return c.sim.sameMultiset(a, b) }
+
+// sameMultiset implements Controller.SameMultiset. Identical sequences (a
+// repack that leaves a job where it was reproduces its node list in the
+// same order) and gangs of up to 8 tasks compare without any counter.
+// Larger ones — Lublin jobs reach 128 tasks — count through nodeCount,
+// which every call leaves all zero.
+func (s *Simulator) sameMultiset(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	// Identical sequences are the overwhelmingly common case (a repack that
-	// leaves a job where it was reproduces the node list in the same
-	// order): resolve them without touching a counting structure.
 	equal := true
 	for i, x := range a {
 		if b[i] != x {
@@ -505,17 +511,38 @@ func SameMultiset(a, b []int) bool {
 		}
 		return true
 	}
-	count := map[int]int{}
+	cnt := s.nodeCount
 	for _, x := range a {
-		count[x]++
+		cnt[x]++
 	}
-	for _, x := range b {
-		count[x]--
-		if count[x] < 0 {
+	// The lists have equal length, so the counts sum to zero once b is
+	// subtracted: all zero unless some count goes negative on the way.
+	for i, x := range b {
+		cnt[x]--
+		if cnt[x] < 0 {
+			for _, y := range a {
+				cnt[y] = 0
+			}
+			for _, y := range b[:i+1] {
+				cnt[y] = 0
+			}
 			return false
 		}
 	}
 	return true
+}
+
+// checkNodes panics unless every entry of nodes is a node id of the
+// cluster. Start, Resume and Migrate call it before touching any state, so
+// a bad placement fails with a sim: message instead of an index error deep
+// in the occupancy bookkeeping.
+func (s *Simulator) checkNodes(op string, jid int, nodes []int) {
+	n := len(s.usedCPU)
+	for _, node := range nodes {
+		if node < 0 || node >= n {
+			panic(fmt.Sprintf("sim: %s job %d on node %d of a %d-node cluster", op, jid, node, n))
+		}
+	}
 }
 
 // EarliestFinish returns, assuming perfect knowledge of execution times and

@@ -383,6 +383,9 @@ type Simulator struct {
 	// MaxCPULoad and the greedy least-loaded-feasible-node query need no
 	// O(nodes) scans.
 	nodeIdx *index.NodeIndex
+	// nodeCount is sameMultiset's per-node scratch counter, all zero
+	// between calls.
+	nodeCount []int
 
 	completionGen   uint64
 	pendingComplete *eventq.Event
@@ -459,6 +462,7 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	s.hasCost = s.cl.Priced()
 	s.usedCPU = make([]float64, n)
 	s.cpuLoad = make([]float64, n)
+	s.nodeCount = make([]int, n)
 	s.usedRigid = make([][]float64, d-1)
 	for r := range s.usedRigid {
 		s.usedRigid[r] = make([]float64, n)

@@ -50,9 +50,11 @@ type RepackState struct {
 	// non-empty.
 	orders [][]int
 
-	// Previous pack's outcome for the exact-repeat fast path (a repeated
-	// probe of the same instance, e.g. a periodic reschedule with an
-	// unchanged job set replays the previous event's probe sequence).
+	// Previous pack's outcome for the exact-repeat fast path: a pack
+	// whose instance repeats the previous one bit for bit. core.Workspace
+	// answers a repeated successful MaxMinYield solve (a periodic
+	// reschedule with an unchanged job set) before packing; the repeats
+	// its memo does not cover still replay here.
 	prevValid  bool
 	prevOK     bool
 	prevAssign []int
