@@ -13,6 +13,14 @@
 // Whenever no allocation exists however small the yield (a memory-bound
 // instance), the job with the smallest priority is removed from
 // consideration — paused if it was running — and the packing is retried.
+// Most such instances are over the allocator's aggregate rigid-capacity
+// bound, so a repack first sheds jobs against that bound without solving:
+// while the candidates' total demand in a rigid dimension (memory, then
+// Extra) exceeds the cluster's total capacity plus floats.Eps, the same
+// lowest-priority job is dropped. The totals run as per-job subtractions
+// and are re-summed in the allocator's item order whenever they come
+// within a small slack of the limit, so each decision matches the bound
+// bit for bit; core's bound stays authoritative for every set solved.
 //
 // The package also provides the fairness extension sketched in the paper's
 // conclusion (Section VII): long-running jobs are excluded from the
@@ -24,10 +32,13 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/floats"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/vectorpack"
+	"repro/internal/workload"
 )
 
 // DefaultPeriod is the paper's scheduling period for the periodic variants
@@ -101,6 +112,13 @@ type Scheduler struct {
 	prioBuf []float64
 	memBuf  []float64
 	greedy  sched.YieldScratch
+
+	// Rigid-capacity pre-drop (shedRigid): per-dimension bound limits
+	// TotalCap(k)+floats.Eps of the cluster limFor, cached once per run,
+	// and the candidates' running demand totals.
+	limFor   *cluster.Cluster
+	rigidLim []float64
+	rigidSum []float64
 }
 
 // New builds a DYNMCB8-family scheduler from options.
@@ -184,42 +202,151 @@ func (s *Scheduler) OnTimer(ctl *sim.Controller, tag int64) {
 
 // reschedule runs the global repack over every job in the system.
 func (s *Scheduler) reschedule(ctl *sim.Controller) {
+	inSet, alloc := s.plan(ctl)
+	if alloc != nil {
+		s.apply(ctl, inSet, alloc)
+	}
+}
+
+// plan computes the repack: the jobs kept in the system (ascending jid) and
+// their allocation. It returns a nil allocation when no job is active.
+//
+// Memory-bound instances shed the smallest-priority job and retry. Ties
+// break toward the job with the largest memory footprint (fastest route
+// back to feasibility), then by jid. The removal keys depend only on the
+// event time, so they are computed once and filtered alongside the
+// candidate list; nothing retains the unfiltered list, so removals are in
+// place. Jobs are first shed against the rigid-capacity bound (shedRigid),
+// which drops exactly the jobs the retry loop would have dropped after
+// failed solves; the loop then meets only sets that fail at packing time.
+func (s *Scheduler) plan(ctl *sim.Controller) (inSet []int, alloc *core.Allocation) {
 	now := ctl.Now()
 	s.cands = ctl.AppendActiveJobs(s.cands[:0])
-	candidates := s.cands
-	if len(candidates) == 0 {
-		return
+	if len(s.cands) == 0 {
+		return nil, nil
 	}
-	var alloc *core.Allocation
-	var inSet []int
-	var prios, mems []float64 // removal keys, parallel to candidates
-	for {
-		inSet = candidates
-		var ok bool
-		alloc, ok = s.solve(ctl, inSet, now)
-		if ok {
-			break
+	candidates, prios, mems := s.shedRigid(ctl, s.cands, now)
+	for len(candidates) > 0 {
+		if alloc, ok := s.solve(ctl, candidates, now); ok {
+			return candidates, alloc
 		}
-		// Memory-bound: drop the smallest-priority job and retry. Ties
-		// break toward the job with the largest memory footprint (fastest
-		// route back to feasibility), then by jid. The keys depend only on
-		// the event time, so they are computed once and filtered alongside
-		// the candidate list across retries; nothing retains the unfiltered
-		// list, so the removal is in place.
+		if prios == nil {
+			prios, mems = s.removalKeys(ctl, candidates, now)
+		}
+		candidates, prios, mems = removeAt(candidates, prios, mems, pickRemoval(candidates, prios, mems))
+	}
+	return nil, core.NewAllocation()
+}
+
+// rigidSlack is the margin, relative to a capacity of at least 1, within
+// which shedRigid stops trusting its running demand totals and re-sums in
+// item order. The rounding error of a sum of n terms is about n*2^-53 of
+// its magnitude (1e-12 for thousands of tasks), far inside the margin, so
+// every decision outside it agrees with the exact item-order sum.
+const rigidSlack = 1e-6
+
+// shedRigid drops candidates, removal order as in plan, until every rigid
+// dimension's total demand (memory, then Extra) fits the cluster's
+// aggregate capacity plus floats.Eps: the bound packProbe.pack checks
+// before packing. A set over it fails the allocator's first probe
+// (feasible(0) in MaxMinYield, try(maxTarget) in MinEstimatedStretch)
+// whatever the packer, so the retry loop would drop the same jobs one
+// failed solve at a time.
+//
+// The totals start as sums of Tasks*demand and each drop subtracts the
+// dropped job's share. Only a total within rigidSlack of its limit is
+// re-summed the way packProbe.refreshRigidTotals accumulates it (per job,
+// Tasks repeated additions in candidate order), so decisions at the
+// boundary are bit-identical to the bound's; core's bound stays the
+// authority for every set that reaches a solve.
+func (s *Scheduler) shedRigid(ctl *sim.Controller, candidates []int, now float64) ([]int, []float64, []float64) {
+	c := ctl.Cluster()
+	if c != s.limFor {
+		s.limFor = c
+		s.rigidLim = s.rigidLim[:0]
+		for k := 0; k < c.D(); k++ {
+			s.rigidLim = append(s.rigidLim, c.TotalCap(k)+floats.Eps)
+		}
+		s.rigidSum = make([]float64, c.D())
+	}
+	d := len(s.rigidLim)
+	sums := s.rigidSum
+	clear(sums)
+	for _, jid := range candidates {
+		j := ctl.JobRef(jid)
+		n := float64(j.Tasks)
+		for k := cluster.DimMem; k < d; k++ {
+			sums[k] += n * rigidDemand(j, k)
+		}
+	}
+	var prios, mems []float64
+	for len(candidates) > 0 && s.overRigid(ctl, candidates) {
 		if prios == nil {
 			prios, mems = s.removalKeys(ctl, candidates, now)
 		}
 		di := pickRemoval(candidates, prios, mems)
-		candidates = append(candidates[:di], candidates[di+1:]...)
-		prios = append(prios[:di], prios[di+1:]...)
-		mems = append(mems[:di], mems[di+1:]...)
-		if len(candidates) == 0 {
-			alloc = core.NewAllocation()
-			inSet = nil
-			break
+		j := ctl.JobRef(candidates[di])
+		n := float64(j.Tasks)
+		for k := cluster.DimMem; k < d; k++ {
+			sums[k] -= n * rigidDemand(j, k)
+		}
+		candidates, prios, mems = removeAt(candidates, prios, mems, di)
+	}
+	return candidates, prios, mems
+}
+
+// overRigid reports whether the candidates' demand exceeds the aggregate
+// capacity bound in some rigid dimension, re-summing exactly any running
+// total that lies within rigidSlack of its limit.
+func (s *Scheduler) overRigid(ctl *sim.Controller, jids []int) bool {
+	for k := cluster.DimMem; k < len(s.rigidLim); k++ {
+		lim, sum := s.rigidLim[k], s.rigidSum[k]
+		slack := rigidSlack * math.Max(1, lim)
+		if sum < lim-slack {
+			continue
+		}
+		if sum <= lim+slack {
+			sum = itemOrderSum(ctl, jids, k)
+			s.rigidSum[k] = sum
+			if sum <= lim {
+				continue
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// rigidDemand is job j's per-task demand in rigid dimension k >= 1, as the
+// allocator's items carry it: memory, then Extra, 0 beyond Extra's length.
+func rigidDemand(j *workload.Job, k int) float64 {
+	if k == cluster.DimMem {
+		return j.MemReq
+	}
+	if e := k - cluster.MinDims; e < len(j.Extra) {
+		return j.Extra[e]
+	}
+	return 0
+}
+
+// itemOrderSum sums dimension k's demand over jids one task at a time, in
+// the order and with the additions of packProbe.refreshRigidTotals.
+func itemOrderSum(ctl *sim.Controller, jids []int, k int) float64 {
+	total := 0.0
+	for _, jid := range jids {
+		j := ctl.JobRef(jid)
+		v := rigidDemand(j, k)
+		for t := 0; t < j.Tasks; t++ {
+			total += v
 		}
 	}
-	s.apply(ctl, inSet, alloc)
+	return total
+}
+
+// removeAt removes entry i from the candidate list and its parallel removal
+// keys, in place.
+func removeAt(jids []int, prios, mems []float64, i int) ([]int, []float64, []float64) {
+	return append(jids[:i], jids[i+1:]...), append(prios[:i], prios[i+1:]...), append(mems[:i], mems[i+1:]...)
 }
 
 // solve computes the optimal allocation for the given job set under the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vectorpack"
@@ -164,6 +165,58 @@ func TestMemoryBoundRemovesLowestPriority(t *testing.T) {
 	// job 1 arrives at t=10 with infinite priority (vt=0), so job 0 is
 	// shed and paused. Job 1 runs 10-110; job 0 resumes and finishes its
 	// remaining 90 virtual seconds by t=200.
+	if jr[0].Pauses == 0 {
+		t.Error("job 0 (lowest priority) was not shed")
+	}
+	if math.Abs(jr[1].Finish-110) > 1e-6 {
+		t.Errorf("job 1 finish = %v, want 110", jr[1].Finish)
+	}
+	if math.Abs(jr[0].Finish-200) > 1e-6 {
+		t.Errorf("job 0 finish = %v, want 200", jr[0].Finish)
+	}
+}
+
+// preDropProbe wraps a scheduler and records, at every arrival, which
+// active jobs the rigid-capacity pre-drop keeps.
+type preDropProbe struct {
+	*Scheduler
+	kept map[float64][]int
+}
+
+func (p *preDropProbe) OnArrival(ctl *sim.Controller, jid int) {
+	kept, _, _ := p.shedRigid(ctl, ctl.AppendActiveJobs(nil), ctl.Now())
+	p.kept[ctl.Now()] = kept
+	p.Scheduler.OnArrival(ctl, jid)
+}
+
+func TestGPUBoundRemovesLowestPriority(t *testing.T) {
+	// The 3-d counterpart of TestMemoryBoundRemovesLowestPriority: one
+	// gpu-uniform node (1 CPU, 1 memory, 1 GPU); memory fits both jobs
+	// (0.2 + 0.2) but their GPU demands (0.9 + 0.9) do not.
+	cl, err := cluster.Profile(cluster.ProfileGPUUniform, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := jb(0, 0, 1, 0.5, 0.2, 100), jb(1, 10, 1, 0.5, 0.2, 100)
+	a.Extra, b.Extra = []float64{0.9}, []float64{0.9}
+	tr := &workload.Trace{Name: "mcb-gpu", Nodes: 1, NodeMemGB: 8, Jobs: []workload.Job{a, b}}
+	probe := &preDropProbe{Scheduler: New(Options{}), kept: map[float64][]int{}}
+	res := mustRun(t, sim.Config{Trace: tr, Cluster: cl, CheckInvariants: true}, probe)
+	if err := metrics.Validate(res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Jobs) != 2 {
+		t.Fatalf("only %d jobs finished", len(res.Jobs))
+	}
+	// Hand-computed schedule: job 0 runs 0-10 (vt=10, finite priority);
+	// job 1 arrives at t=10 with infinite priority (vt=0), so job 0 is
+	// shed — by the pre-drop, before any solve — and paused. Job 1 runs
+	// 10-110; job 0 resumes and finishes its remaining 90 virtual seconds
+	// by t=200.
+	if got := probe.kept[10]; len(got) != 1 || got[0] != 1 {
+		t.Errorf("pre-drop at t=10 kept %v, want [1]", got)
+	}
+	jr := byID(res)
 	if jr[0].Pauses == 0 {
 		t.Error("job 0 (lowest priority) was not shed")
 	}
