@@ -5,7 +5,7 @@
 # TRACE=1 adds the per-layer spans, e.g. `make perf W=fed-gpu SEED=7`.
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare fuzz perf ci
+.PHONY: all build test race vet fmt-check perfbench-check bench bench-json bench-compare fuzz perf ci
 
 all: build
 
@@ -18,6 +18,17 @@ test:
 # The campaign worker pool must be race-clean; this is the gate for it.
 race:
 	$(GO) test -race ./...
+
+vet:
+	$(GO) vet ./...
+
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# perfbench is its own module, so the root vet and test never build it.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
@@ -38,10 +49,11 @@ BENCH_NEW ?= BENCH_PR15.json
 bench-compare:
 	$(GO) run ./cmd/dfrs-bench -compare -old $(BENCH_OLD) -new $(BENCH_NEW) -threshold 10
 
-# Short fuzz session over the SWF parser (the deterministic corpus also
-# runs as a normal test in `make test`).
+# Short fuzz sessions over the SWF parser and the campaign grid parser
+# (their deterministic corpora also run as normal tests in `make test`).
 fuzz:
-	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/swf/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/swf/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 30s ./internal/campaign/
 
 W ?= tablei
 SEED ?= 42
@@ -49,4 +61,5 @@ TRACE ?= 0
 perf:
 	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 20 --trace $(TRACE)
 
-ci: build test race
+# The blocking steps of .github/workflows/ci.yml, in the same order.
+ci: build vet fmt-check test race perfbench-check bench

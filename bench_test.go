@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper, plus the
-// ablation studies of DESIGN.md. Each benchmark executes the corresponding
+// ablation studies. Each benchmark executes the corresponding
 // experiment at a reduced-but-representative scale (full-paper scale is
 // CPU-hours; use cmd/dfrs-exp with -traces 100 -jobs 1000 for that) and
 // reports the experiment's headline quantities as custom benchmark metrics.
@@ -42,7 +42,7 @@ func benchConfig() experiments.Config {
 func BenchmarkFigure1a(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure1(context.Background(), cfg, 0)
+		res, err := experiments.Figure1(context.Background(), cfg, "fig1a")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func BenchmarkFigure1a(b *testing.B) {
 func BenchmarkFigure1b(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure1(context.Background(), cfg, experiments.PaperPenalty)
+		res, err := experiments.Figure1(context.Background(), cfg, "fig1b")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +90,6 @@ func BenchmarkTableI(b *testing.B) {
 // hour, the two quantities the paper discusses.
 func BenchmarkTableII(b *testing.B) {
 	cfg := benchConfig()
-	cfg.Algorithms = experiments.PreemptingAlgorithms
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.TableII(context.Background(), cfg)
 		if err != nil {

@@ -13,6 +13,15 @@
 //	dfrs-campaign -preset table1 -out table1.jsonl     # Table I's three workload legs
 //	dfrs-campaign -preset table2 -out table2.jsonl     # Table II's high-load cost study
 //
+// A preset is experiments.PaperGrid, the grid dfrs-exp runs, built from
+// -algs, -traces, -jobs, -loads and -weeks: the preset fixes the penalty
+// (-penalties is ignored), table2 keeps the preempting algorithms of -algs
+// and the loads >= 0.7, and table1 runs -weeks HPC2N-like segments (4 when
+// -weeks is 0). The sweep axes -seeds, -nodes, -node-mix, -gpu-frac,
+// -gpu-corr, -objective, -clusters and -dispatch apply on top, and for
+// every other preset -weeks adds an HPC2N-like family as it does for a
+// custom grid.
+//
 // Or declare a custom grid directly:
 //
 //	dfrs-campaign -algs easy,dynmcb8-asap-per -seeds 1,2,3 -traces 10 \
@@ -44,23 +53,9 @@ import (
 )
 
 func main() {
+	gf := defineGridFlags(flag.CommandLine)
 	var (
-		preset    = flag.String("preset", "", "paper campaign: fig1a, fig1b, table1, table2 (empty = custom grid from flags)")
-		algs      = flag.String("algs", strings.Join(experiments.Algorithms, ","), "comma-separated algorithm names")
-		seeds     = flag.String("seeds", "42", "comma-separated campaign seeds")
-		traces    = flag.Int("traces", 3, "synthetic traces per seed (paper: 100)")
-		jobs      = flag.Int("jobs", 150, "jobs per synthetic trace (paper: 1000)")
-		nodes     = flag.String("nodes", "128", "comma-separated cluster sizes (paper: 128)")
-		nodeMix   = flag.String("node-mix", "", "comma-separated node-mix profiles (uniform, bimodal, bimodal-priced, powerlaw, gpu-uniform, gpu-bimodal); empty = homogeneous")
 		resources = flag.String("resources", "", "@file node inventory (one capacity vector per line, optional cost= field), registered as a node mix and added to the sweep")
-		objective = flag.String("objective", "", "comma-separated placement objectives to sweep (cost, bestfit, worstfit, ...); empty = each family's default rule")
-		gpuFrac   = flag.Float64("gpu-frac", 0, "fraction of each cell's jobs given a GPU demand (adds a third resource dimension)")
-		gpuCorr   = flag.Float64("gpu-corr", 0, "correlation of GPU demands with memory requirements, in [-1,1] (requires -gpu-frac; 0 = independent draws)")
-		clusters  = flag.String("clusters", "", "comma-separated federation topologies to sweep (a count like 2, or mix:nodes terms joined by +, e.g. uniform:128+bimodal-priced:64); empty = single-cluster cells")
-		dispatch  = flag.String("dispatch", "", "comma-separated federation dispatch policies crossed with -clusters (see dfrs.Dispatchers); empty = "+dfrs.DefaultDispatcher)
-		loads     = flag.String("loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "comma-separated load levels; 0 means unscaled")
-		penalties = flag.String("penalties", "300", "comma-separated rescheduling penalties in seconds")
-		weeks     = flag.Int("weeks", 0, "HPC2N-like weekly segments to add as a second family (0 = none; paper: 182)")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
 		fedWork   = flag.Int("fed-workers", 0, "goroutines advancing each federated cell's member clusters concurrently (0 = serial per cell, the default — the cell pool owns the cores); output JSONL is byte-identical for any value")
 		out       = flag.String("out", "-", "output JSONL path (- = stdout)")
@@ -87,14 +82,14 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("bad -resources: %s: %v", path, err))
 		}
-		if *nodeMix == "" {
-			*nodeMix = *resources
+		if gf.nodeMix == "" {
+			gf.nodeMix = *resources
 		} else {
-			*nodeMix += "," + *resources
+			gf.nodeMix += "," + *resources
 		}
 	}
 
-	g, err := buildGrid(*preset, *algs, *seeds, *traces, *jobs, *nodes, *nodeMix, *loads, *penalties, *weeks, *gpuFrac, *gpuCorr, *objective, *clusters, *dispatch)
+	g, err := buildGrid(gf)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,7 +99,7 @@ func main() {
 	if *fedWork < 0 {
 		fatal(fmt.Errorf("bad -fed-workers: negative worker count %d", *fedWork))
 	}
-	if *fedWork != 0 && *clusters == "" {
+	if *fedWork != 0 && gf.clusters == "" {
 		fatal(fmt.Errorf("bad -fed-workers: requires -clusters"))
 	}
 	opt := dfrs.CampaignOptions{Workers: *workers, FedWorkers: *fedWork}
@@ -145,129 +140,94 @@ func main() {
 	}
 }
 
-// buildGrid assembles the campaign grid from the preset or the custom grid
-// flags. Presets start from the flag values and override only the
-// dimensions that define the paper campaign, so -traces/-jobs/-seeds still
-// scale them. Flag values are validated eagerly so a bad sweep fails with a
-// clear message before any cell runs.
-func buildGrid(preset, algs, seeds string, traces, jobs int, nodes, nodeMix, loads, penalties string, weeks int, gpuFrac, gpuCorr float64, objectives, clusters, dispatchers string) (*dfrs.Grid, error) {
-	seedList, err := parseUints(seeds)
+// gridFlags holds the flags that declare the campaign grid.
+type gridFlags struct {
+	preset, algs, seeds              string
+	traces, jobs, weeks              int
+	nodes, nodeMix, loads, penalties string
+	gpuFrac, gpuCorr                 float64
+	objectives, clusters, dispatch   string
+}
+
+// defineGridFlags declares the grid flags on fs.
+func defineGridFlags(fs *flag.FlagSet) *gridFlags {
+	f := &gridFlags{}
+	fs.StringVar(&f.preset, "preset", "", "paper campaign: fig1a, fig1b, table1, table2 (empty = custom grid from flags)")
+	fs.StringVar(&f.algs, "algs", strings.Join(experiments.Algorithms, ","), "comma-separated algorithm names")
+	fs.StringVar(&f.seeds, "seeds", "42", "comma-separated campaign seeds")
+	fs.IntVar(&f.traces, "traces", 3, "synthetic traces per seed (paper: 100)")
+	fs.IntVar(&f.jobs, "jobs", 150, "jobs per synthetic trace (paper: 1000)")
+	fs.StringVar(&f.nodes, "nodes", "128", "comma-separated cluster sizes (paper: 128)")
+	fs.StringVar(&f.nodeMix, "node-mix", "", "comma-separated node-mix profiles (uniform, bimodal, bimodal-priced, powerlaw, gpu-uniform, gpu-bimodal); empty = homogeneous")
+	fs.StringVar(&f.objectives, "objective", "", "comma-separated placement objectives to sweep (cost, bestfit, worstfit, ...); empty = each family's default rule")
+	fs.Float64Var(&f.gpuFrac, "gpu-frac", 0, "fraction of each cell's jobs given a GPU demand (adds a third resource dimension)")
+	fs.Float64Var(&f.gpuCorr, "gpu-corr", 0, "correlation of GPU demands with memory requirements, in [-1,1] (requires -gpu-frac; 0 = independent draws)")
+	fs.StringVar(&f.clusters, "clusters", "", "comma-separated federation topologies to sweep (a count like 2, or mix:nodes terms joined by +, e.g. uniform:128+bimodal-priced:64); empty = single-cluster cells")
+	fs.StringVar(&f.dispatch, "dispatch", "", "comma-separated federation dispatch policies crossed with -clusters (see dfrs.Dispatchers); empty = "+dfrs.DefaultDispatcher)
+	fs.StringVar(&f.loads, "loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "comma-separated load levels; 0 means unscaled")
+	fs.StringVar(&f.penalties, "penalties", "300", "comma-separated rescheduling penalties in seconds (ignored by -preset)")
+	fs.IntVar(&f.weeks, "weeks", 0, "HPC2N-like weekly segments to add as a second family (0 = none, or 4 for -preset table1; paper: 182)")
+	return f
+}
+
+// buildGrid assembles the campaign grid from the preset (the paper
+// campaign experiments.PaperGrid defines, at the flags' scale) or the
+// custom grid flags, then lays the sweep axes on top. The grid is
+// validated eagerly so a bad sweep fails with a clear message before any
+// cell runs.
+func buildGrid(f *gridFlags) (*dfrs.Grid, error) {
+	seedList, err := parseList(f.seeds, parseUint)
 	if err != nil {
 		return nil, fmt.Errorf("bad -seeds: %w", err)
 	}
-	if traces <= 0 {
-		return nil, fmt.Errorf("bad -traces: %d traces per seed, want at least 1", traces)
+	if f.traces <= 0 {
+		return nil, fmt.Errorf("bad -traces: %d traces per seed, want at least 1", f.traces)
 	}
-	if jobs <= 0 {
-		return nil, fmt.Errorf("bad -jobs: %d jobs per trace, want at least 1", jobs)
+	if f.jobs <= 0 {
+		return nil, fmt.Errorf("bad -jobs: %d jobs per trace, want at least 1", f.jobs)
 	}
-	if weeks < 0 {
-		return nil, fmt.Errorf("bad -weeks: negative segment count %d", weeks)
+	if f.weeks < 0 {
+		return nil, fmt.Errorf("bad -weeks: negative segment count %d", f.weeks)
 	}
-	nodeList, err := parseInts(nodes)
+	nodeList, err := parseList(f.nodes, strconv.Atoi)
 	if err != nil {
 		return nil, fmt.Errorf("bad -nodes: %w", err)
 	}
-	for _, n := range nodeList {
-		if n <= 0 {
-			return nil, fmt.Errorf("bad -nodes: cluster size %d, want at least 1", n)
-		}
-	}
-	loadList, err := parseFloats(loads)
+	loadList, err := parseList(f.loads, parseFloat)
 	if err != nil {
 		return nil, fmt.Errorf("bad -loads: %w", err)
 	}
-	for _, l := range loadList {
-		if l < 0 || l > 1 {
-			return nil, fmt.Errorf("bad -loads: load %g outside [0,1] (0 means unscaled)", l)
-		}
-	}
-	penList, err := parseFloats(penalties)
+	penList, err := parseList(f.penalties, parseFloat)
 	if err != nil {
 		return nil, fmt.Errorf("bad -penalties: %w", err)
 	}
-	for _, p := range penList {
-		if p < 0 {
-			return nil, fmt.Errorf("bad -penalties: negative penalty %g", p)
-		}
-	}
-	if !(gpuFrac >= 0 && gpuFrac <= 1) { // negated so NaN is rejected too
-		return nil, fmt.Errorf("bad -gpu-frac: fraction %g outside [0,1]", gpuFrac)
-	}
-	if !(gpuCorr >= -1 && gpuCorr <= 1) {
-		return nil, fmt.Errorf("bad -gpu-corr: correlation %g outside [-1,1]", gpuCorr)
-	}
-	if gpuCorr != 0 && gpuFrac == 0 {
-		return nil, fmt.Errorf("bad -gpu-corr: requires -gpu-frac > 0")
-	}
-	topoList := splitList(clusters)
-	dispList := splitList(dispatchers)
-	if len(dispList) > 0 && len(topoList) == 0 {
-		return nil, fmt.Errorf("bad -dispatch: requires -clusters")
-	}
-	mixList := splitList(nodeMix)
-	for _, mix := range mixList {
-		if !dfrs.ValidNodeMix(mix) {
-			return nil, fmt.Errorf("bad -node-mix: unknown profile %q (known: %v)",
-				mix, dfrs.NodeMixes())
-		}
-	}
-	objList := splitList(objectives)
-	for _, obj := range objList {
-		if !dfrs.KnownObjective(obj) {
-			return nil, fmt.Errorf("bad -objective: unknown objective %q (known: %v)",
-				obj, dfrs.Objectives())
-		}
-	}
-	for _, alg := range splitList(algs) {
-		if !dfrs.KnownAlgorithm(alg) {
-			return nil, fmt.Errorf("bad -algs: unknown algorithm %q (known: %v)", alg, dfrs.Algorithms())
-		}
-	}
 	g := &dfrs.Grid{
 		Name:         "custom",
-		Seeds:        seedList,
-		Algorithms:   splitList(algs),
-		Families:     []dfrs.CampaignFamily{{Kind: dfrs.FamilyLublin, Count: traces}},
+		Algorithms:   splitList(f.algs),
+		Families:     []dfrs.CampaignFamily{{Kind: dfrs.FamilyLublin, Count: f.traces}},
 		Loads:        loadList,
 		Penalties:    penList,
-		Nodes:        nodeList,
-		NodeMixes:    mixList,
-		GPUFrac:      gpuFrac,
-		GPUCorr:      gpuCorr,
-		Objectives:   objList,
-		Topologies:   topoList,
-		Dispatchers:  dispList,
-		JobsPerTrace: jobs,
+		JobsPerTrace: f.jobs,
 	}
-	if weeks > 0 {
+	if f.preset != "" {
+		cfg := experiments.DefaultConfig()
+		cfg.Traces, cfg.JobsPerTrace = f.traces, f.jobs
+		cfg.Loads, cfg.Algorithms = loadList, g.Algorithms
+		if f.weeks > 0 {
+			cfg.HPC2NWeeks = f.weeks
+		}
+		if g, err = experiments.PaperGrid(f.preset, cfg); err != nil {
+			return nil, err
+		}
+	}
+	if f.weeks > 0 && f.preset != "table1" {
 		g.Families = append(g.Families,
-			dfrs.CampaignFamily{Kind: dfrs.FamilyHPC2N, Count: weeks, Loads: []float64{dfrs.UnscaledLoad}})
+			dfrs.CampaignFamily{Kind: dfrs.FamilyHPC2N, Count: f.weeks, Loads: []float64{dfrs.UnscaledLoad}})
 	}
-	paperLoads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	switch preset {
-	case "":
-	case "fig1a":
-		g.Name, g.Loads, g.Penalties = "fig1a", paperLoads, []float64{0}
-	case "fig1b":
-		g.Name, g.Loads, g.Penalties = "fig1b", paperLoads, []float64{experiments.PaperPenalty}
-	case "table1":
-		g.Name, g.Loads, g.Penalties = "table1", paperLoads, []float64{experiments.PaperPenalty}
-		w := weeks
-		if w <= 0 {
-			w = 4
-		}
-		g.Families = []dfrs.CampaignFamily{
-			{Kind: dfrs.FamilyLublin, Count: traces},
-			{Kind: dfrs.FamilyLublin, Count: traces, Loads: []float64{dfrs.UnscaledLoad}},
-			{Kind: dfrs.FamilyHPC2N, Count: w, Loads: []float64{dfrs.UnscaledLoad}},
-		}
-	case "table2":
-		g.Name, g.Loads, g.Penalties = "table2", []float64{0.7, 0.8, 0.9}, []float64{experiments.PaperPenalty}
-		g.Algorithms = experiments.PreemptingAlgorithms
-	default:
-		return nil, fmt.Errorf("unknown preset %q (want fig1a, fig1b, table1 or table2)", preset)
-	}
+	g.Seeds, g.Nodes = seedList, nodeList
+	g.NodeMixes, g.Objectives = splitList(f.nodeMix), splitList(f.objectives)
+	g.GPUFrac, g.GPUCorr = f.gpuFrac, f.gpuCorr
+	g.Topologies, g.Dispatchers = splitList(f.clusters), splitList(f.dispatch)
 	return g, g.Validate()
 }
 
@@ -281,10 +241,11 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
+// parseList parses each comma-separated entry of s with parse.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range splitList(s) {
-		v, err := strconv.ParseFloat(part, 64)
+		v, err := parse(part)
 		if err != nil {
 			return nil, fmt.Errorf("invalid value %q", part)
 		}
@@ -293,29 +254,8 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("invalid value %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseUints(s string) ([]uint64, error) {
-	var out []uint64
-	for _, part := range splitList(s) {
-		v, err := strconv.ParseUint(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("invalid value %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseUint(s string) (uint64, error)   { return strconv.ParseUint(s, 10, 64) }
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dfrs-campaign:", err)

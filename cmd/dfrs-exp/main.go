@@ -1,5 +1,5 @@
 // Command dfrs-exp regenerates the paper's tables and figures (and the
-// ablation studies of DESIGN.md) at a configurable scale.
+// ablation studies) at a configurable scale.
 //
 // Usage:
 //
@@ -13,7 +13,10 @@
 //
 // Scale flags: -traces, -jobs, -nodes, -weeks; the paper's full campaign is
 // -traces 100 -jobs 1000 -weeks 182 (CPU-hours). Defaults are a small but
-// representative slice.
+// representative slice. fig1a, fig1b, table1 and table2 run
+// experiments.PaperGrid, the same grids as dfrs-campaign -preset: -loads
+// sets their load levels (table2 keeps those >= 0.7) and table2 runs the
+// six preempting algorithms.
 package main
 
 import (
@@ -93,16 +96,12 @@ func dispatch(ctx context.Context, name string, cfg experiments.Config, csv bool
 	var res renderable
 	var err error
 	switch name {
-	case "fig1a":
-		res, err = experiments.Figure1(ctx, cfg, 0)
-	case "fig1b":
-		res, err = experiments.Figure1(ctx, cfg, experiments.PaperPenalty)
+	case "fig1a", "fig1b":
+		res, err = experiments.Figure1(ctx, cfg, name)
 	case "table1":
 		res, err = experiments.TableI(ctx, cfg)
 	case "table2":
-		c := cfg
-		c.Algorithms = experiments.PreemptingAlgorithms
-		res, err = experiments.TableII(ctx, c)
+		res, err = experiments.TableII(ctx, cfg)
 	case "timing":
 		res, err = experiments.TimingStudy(ctx, cfg, "dynmcb8")
 	case "priority":

@@ -271,8 +271,8 @@ func SyntheticTrace(opt SyntheticOptions) (Trace, error) {
 }
 
 // HPC2NLikeTraces synthesizes the real-world stand-in workload (see
-// DESIGN.md section 4) and returns it split into 1-week instances, as the
-// paper splits the HPC2N log.
+// internal/hpc2n) and returns it split into 1-week instances, as the paper
+// splits the HPC2N log.
 func HPC2NLikeTraces(seed uint64, weeks int) ([]Trace, error) {
 	p := hpc2n.DefaultSynthParams()
 	if weeks > 0 {

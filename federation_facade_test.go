@@ -142,6 +142,7 @@ func TestParseClusters(t *testing.T) {
 			{NodeMix: "", Nodes: 64}, {NodeMix: "bimodal-priced", Nodes: 32}}},
 		{spec: "bimodal", want: []dfrs.ClusterSpec{{NodeMix: "bimodal", Nodes: 128}}},
 		{spec: "0", wantErr: true},
+		{spec: "4097", wantErr: true}, // above the member cap
 		{spec: "nosuchmix:4", wantErr: true},
 		{spec: "", wantErr: true},
 		{spec: "uniform:x", wantErr: true},

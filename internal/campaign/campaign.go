@@ -22,12 +22,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/federation"
 	"repro/internal/placement"
+	"repro/internal/sched"
 )
 
 // Family kinds understood by the trace materialiser.
@@ -140,10 +142,26 @@ func ParseGrid(data []byte) (*Grid, error) {
 	if err := dec.Decode(&g); err != nil {
 		return nil, fmt.Errorf("campaign: parse grid: %w", err)
 	}
+	// An empty omitempty list re-marshals as absent and re-parses as nil;
+	// store it as nil so an accepted grid round-trips to an equal one.
+	g.NodeMixes = nilIfEmpty(g.NodeMixes)
+	g.Objectives = nilIfEmpty(g.Objectives)
+	g.Topologies = nilIfEmpty(g.Topologies)
+	g.Dispatchers = nilIfEmpty(g.Dispatchers)
+	for i := range g.Families {
+		g.Families[i].Loads = nilIfEmpty(g.Families[i].Loads)
+	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return &g, nil
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // Remaining counts the cells a resumed run still has to execute: the
@@ -259,12 +277,20 @@ func dispKey(dispatch string) string {
 // canonical.
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Validate checks the grid's declarative consistency (family kinds, counts
-// and load ranges); algorithm names are resolved at run time against the
-// scheduler registry.
+// Validate checks the grid's declarative consistency: algorithm names
+// against the scheduler registry, family kinds and counts, value ranges
+// (NaN and infinities included) and the names of every swept profile,
+// objective, topology and dispatcher. Every entry point (the campaign
+// runner, ParseGrid, the dfrs-campaign CLI, the dfrs-serve daemon) relies
+// on it, so a bad grid fails before any cell runs.
 func (g *Grid) Validate() error {
 	if len(g.Algorithms) == 0 {
 		return fmt.Errorf("campaign: grid %q has no algorithms", g.Name)
+	}
+	for _, alg := range g.Algorithms {
+		if !sched.Registered(alg) {
+			return fmt.Errorf("campaign: unknown algorithm %q (known: %v)", alg, sched.Names())
+		}
 	}
 	if len(g.Families) == 0 {
 		return fmt.Errorf("campaign: grid %q has no workload families", g.Name)
@@ -279,19 +305,19 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("campaign: family %s has count %d", f.Kind, f.Count)
 		}
 		for _, l := range f.Loads {
-			if l < 0 || l > 1 {
+			if !(l >= 0 && l <= 1) { // negated so NaN is rejected too
 				return fmt.Errorf("campaign: family %s load %g outside [0,1]", f.Kind, l)
 			}
 		}
 	}
 	for _, l := range g.Loads {
-		if l < 0 || l > 1 {
+		if !(l >= 0 && l <= 1) {
 			return fmt.Errorf("campaign: load %g outside [0,1]", l)
 		}
 	}
 	for _, p := range g.Penalties {
-		if p < 0 {
-			return fmt.Errorf("campaign: negative penalty %g", p)
+		if !(p >= 0) || math.IsInf(p, 1) {
+			return fmt.Errorf("campaign: penalty %g is not a finite non-negative number of seconds", p)
 		}
 	}
 	for _, n := range g.Nodes {

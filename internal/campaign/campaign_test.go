@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -102,6 +103,15 @@ func TestGridValidate(t *testing.T) {
 		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Loads: []float64{1.5}},
 		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Penalties: []float64{-1}},
 		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Nodes: []int{0}},
+		{Algorithms: []string{"no-such-algorithm"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Loads: []float64{math.NaN()}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Loads: []float64{math.Inf(1)}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Loads: []float64{math.Inf(-1)}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1, Loads: []float64{math.NaN()}}}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1, Loads: []float64{math.Inf(1)}}}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Penalties: []float64{math.NaN()}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Penalties: []float64{math.Inf(1)}},
+		{Algorithms: []string{"easy"}, Families: []Family{{Kind: FamilyLublin, Count: 1}}, Penalties: []float64{math.Inf(-1)}},
 	}
 	for i, g := range cases {
 		if err := g.Validate(); err == nil {

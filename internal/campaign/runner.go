@@ -224,51 +224,7 @@ func runCell(ctx context.Context, r *Runner, mat *materialiser, g *Grid, c Cell)
 	if err := metrics.Validate(res); err != nil {
 		return Record{}, err
 	}
-	sum := metrics.Summarize(res)
-	if sum.Jobs == 0 {
-		return Record{}, fmt.Errorf("no finished jobs")
-	}
-	if r.OnJob != nil {
-		for _, jr := range res.Jobs {
-			r.OnJob(c, jr)
-		}
-	}
-	costs := metrics.Costs(res)
-	rec := Record{
-		Key:       c.Key(),
-		Seed:      c.Seed,
-		Family:    c.Family,
-		Trace:     tr.Name,
-		TraceIdx:  c.TraceIdx,
-		Load:      c.Load,
-		Nodes:     c.Nodes,
-		Jobs:      c.Jobs,
-		NodeMix:   c.NodeMix,
-		GPUFrac:   c.GPUFrac,
-		GPUCorr:   c.GPUCorr,
-		Objective: c.Objective,
-		Penalty:   c.Penalty,
-		Algorithm: c.Algorithm,
-
-		MaxStretch:  sum.MaxStretch,
-		AvgStretch:  sum.AvgStretch,
-		Makespan:    res.Makespan,
-		Utilization: res.Utilization(),
-		Finished:    len(res.Jobs),
-		Events:      res.Events,
-		Cost:        res.NodeCostSeconds,
-
-		PmtnGBps:    costs.PmtnGBps,
-		MigGBps:     costs.MigGBps,
-		PmtnPerHour: costs.PmtnPerHour,
-		MigPerHour:  costs.MigPerHour,
-		PmtnPerJob:  costs.PmtnPerJob,
-		MigPerJob:   costs.MigPerJob,
-	}
-	if g.Timing {
-		rec.Timing = aggregateTiming(res.SchedSamples)
-	}
-	return rec, nil
+	return r.record(g, c, tr.Name, res, metrics.Summarize(res), metrics.Costs(res), nil)
 }
 
 // runFederatedCell runs one federated cell: the topology is parsed over
@@ -309,24 +265,31 @@ func runFederatedCell(ctx context.Context, r *Runner, g *Grid, c Cell, tr *workl
 	if err != nil {
 		return Record{}, err
 	}
-	sum := res.Summary
+	dispatched := make([]int, len(res.Clusters))
+	for i := range res.Clusters {
+		dispatched[i] = res.Clusters[i].Dispatched
+	}
+	return r.record(g, c, tr.Name, res.Merged, res.Summary, res.Costs, dispatched)
+}
+
+// record builds a finished cell's checkpoint record from its (merged)
+// result, that result's summary and costs, and the per-member dispatch
+// counts of a federated cell (nil for single-cluster cells). It feeds the
+// retained jobs to OnJob first and fails a cell that finished no job.
+func (r *Runner) record(g *Grid, c Cell, trace string, res *sim.Result, sum metrics.InstanceSummary, costs metrics.CostSummary, dispatched []int) (Record, error) {
 	if sum.Jobs == 0 {
 		return Record{}, fmt.Errorf("no finished jobs")
 	}
 	if r.OnJob != nil {
-		for _, jr := range res.Merged.Jobs {
+		for _, jr := range res.Jobs {
 			r.OnJob(c, jr)
 		}
-	}
-	dispatched := make([]int, len(res.Clusters))
-	for i := range res.Clusters {
-		dispatched[i] = res.Clusters[i].Dispatched
 	}
 	rec := Record{
 		Key:       c.Key(),
 		Seed:      c.Seed,
 		Family:    c.Family,
-		Trace:     tr.Name,
+		Trace:     trace,
 		TraceIdx:  c.TraceIdx,
 		Load:      c.Load,
 		Nodes:     c.Nodes,
@@ -342,22 +305,22 @@ func runFederatedCell(ctx context.Context, r *Runner, g *Grid, c Cell, tr *workl
 
 		MaxStretch:  sum.MaxStretch,
 		AvgStretch:  sum.AvgStretch,
-		Makespan:    res.Merged.Makespan,
-		Utilization: res.Merged.Utilization(),
-		Finished:    len(res.Merged.Jobs),
-		Events:      res.Merged.Events,
-		Cost:        res.Merged.NodeCostSeconds,
+		Makespan:    res.Makespan,
+		Utilization: res.Utilization(),
+		Finished:    len(res.Jobs),
+		Events:      res.Events,
+		Cost:        res.NodeCostSeconds,
 		Dispatched:  dispatched,
 
-		PmtnGBps:    res.Costs.PmtnGBps,
-		MigGBps:     res.Costs.MigGBps,
-		PmtnPerHour: res.Costs.PmtnPerHour,
-		MigPerHour:  res.Costs.MigPerHour,
-		PmtnPerJob:  res.Costs.PmtnPerJob,
-		MigPerJob:   res.Costs.MigPerJob,
+		PmtnGBps:    costs.PmtnGBps,
+		MigGBps:     costs.MigGBps,
+		PmtnPerHour: costs.PmtnPerHour,
+		MigPerHour:  costs.MigPerHour,
+		PmtnPerJob:  costs.PmtnPerJob,
+		MigPerJob:   costs.MigPerJob,
 	}
 	if g.Timing {
-		rec.Timing = aggregateTiming(res.Merged.SchedSamples)
+		rec.Timing = aggregateTiming(res.SchedSamples)
 	}
 	return rec, nil
 }

@@ -1,9 +1,10 @@
 // Package experiments defines the paper's evaluation campaigns (Figure 1,
 // Table I, Table II, the Section V timing study) and the ablation studies
-// listed in DESIGN.md as thin grid definitions over the public campaign
-// API (dfrs.Campaign): each experiment declares a campaign.Grid, runs it
-// on the engine's worker pool, and aggregates the resulting records into
-// the paper's tables and figures. Every experiment takes a context —
+// as thin grid definitions over the public campaign API (dfrs.Campaign):
+// each experiment declares a campaign.Grid, runs it on the engine's worker
+// pool, and aggregates the resulting records into the paper's tables and
+// figures. PaperGrid is the one definition of the paper's four campaigns,
+// shared with dfrs-campaign -preset. Every experiment takes a context —
 // cancellation stops the campaign within one cell per worker — and is
 // deterministic given its seed, scaling from quick smoke runs to the
 // paper's full 100-trace campaigns via Config.
@@ -12,6 +13,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	dfrs "repro"
 	"repro/internal/campaign"
@@ -46,6 +48,9 @@ var PreemptingAlgorithms = []string{
 
 // PaperPenalty is the 5-minute rescheduling penalty in seconds.
 const PaperPenalty = 300.0
+
+// tableIIMinLoad is the paper's load cutoff for Table II.
+const tableIIMinLoad = 0.7
 
 // Config sets the scale of an experiment campaign.
 type Config struct {
@@ -91,6 +96,52 @@ func (c Config) grid(name string, algs []string, loads []float64, penalty float6
 		JobsPerTrace: c.JobsPerTrace,
 		Check:        c.Check,
 	}
+}
+
+// PaperGrid returns the grid of one of the paper's four campaigns at the
+// config's scale: "fig1a" (Figure 1(a), no penalty), "fig1b" (Figure 1(b),
+// the 5-minute penalty), "table1" (Table I's scaled, unscaled and HPC2N
+// legs) or "table2" (Table II: the preempting algorithms of
+// cfg.Algorithms, in order, on the loads of cfg.Loads >= 0.7). It is the
+// one definition behind both dfrs-exp and dfrs-campaign -preset.
+func PaperGrid(name string, cfg Config) (*campaign.Grid, error) {
+	algs, loads, penalty := cfg.Algorithms, cfg.Loads, PaperPenalty
+	var extra []campaign.Family
+	switch name {
+	case "fig1a":
+		penalty = 0
+	case "fig1b":
+	case "table1":
+		unscaled := []float64{campaign.Unscaled}
+		extra = []campaign.Family{
+			{Kind: campaign.FamilyLublin, Count: cfg.Traces, Loads: unscaled},
+			{Kind: campaign.FamilyHPC2N, Count: cfg.HPC2NWeeks, Loads: unscaled}, // real-world stand-in
+		}
+	case "table2":
+		loads = nil
+		for _, l := range cfg.Loads {
+			if l >= tableIIMinLoad {
+				loads = append(loads, l)
+			}
+		}
+		if len(loads) == 0 {
+			return nil, fmt.Errorf("experiments: Table II needs load levels >= %.1f", tableIIMinLoad)
+		}
+		algs = nil
+		for _, alg := range cfg.Algorithms {
+			if slices.Contains(PreemptingAlgorithms, alg) {
+				algs = append(algs, alg)
+			}
+		}
+		if len(algs) == 0 {
+			return nil, fmt.Errorf("experiments: Table II needs a preempting algorithm (one of %v)", PreemptingAlgorithms)
+		}
+	default:
+		return nil, fmt.Errorf("experiments: unknown paper campaign %q (want fig1a, fig1b, table1 or table2)", name)
+	}
+	g := cfg.grid(name, algs, loads, penalty)
+	g.Families = append(g.Families, extra...)
+	return g, nil
 }
 
 // run executes the grid through the public campaign API with the config's

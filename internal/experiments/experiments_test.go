@@ -26,7 +26,7 @@ func tinyConfig() Config {
 func TestFigure1EndToEnd(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Algorithms = []string{"easy", "greedy-pmtn", "dynmcb8-per"}
-	res, err := Figure1(context.Background(), cfg, PaperPenalty)
+	res, err := Figure1(context.Background(), cfg, "fig1b")
 	if err != nil {
 		t.Fatal(err)
 	}

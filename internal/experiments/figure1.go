@@ -22,32 +22,39 @@ type Figure1Result struct {
 	Instances []*Instance
 }
 
-// Figure1 runs experiment E1 (penalty 0) or E2 (penalty 300): every
-// configured algorithm over every scaled synthetic trace, averaging
-// degradation factors per load level. The campaign is one grid —
-// algorithms x traces x loads — on the campaign engine.
-func Figure1(ctx context.Context, cfg Config, penalty float64) (*Figure1Result, error) {
-	g := cfg.grid(fmt.Sprintf("figure1-pen%.0f", penalty), cfg.Algorithms, cfg.Loads, penalty)
+// Figure1 runs experiment E1 ("fig1a", penalty 0) or E2 ("fig1b", the
+// 5-minute penalty): every configured algorithm over every scaled
+// synthetic trace, averaging degradation factors per load level. The
+// campaign is PaperGrid's grid — algorithms x traces x loads — on the
+// campaign engine.
+func Figure1(ctx context.Context, cfg Config, name string) (*Figure1Result, error) {
+	if name != "fig1a" && name != "fig1b" {
+		return nil, fmt.Errorf("experiments: %q is not a Figure 1 campaign (want fig1a or fig1b)", name)
+	}
+	g, err := PaperGrid(name, cfg)
+	if err != nil {
+		return nil, err
+	}
 	recs, err := cfg.run(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	instances, err := instancesFromRecords(recs, cfg.Algorithms)
+	instances, err := instancesFromRecords(recs, g.Algorithms)
 	if err != nil {
 		return nil, err
 	}
 	res := &Figure1Result{
-		Penalty:    penalty,
-		Loads:      cfg.Loads,
-		Algorithms: cfg.Algorithms,
+		Penalty:    g.Penalties[0],
+		Loads:      g.Loads,
+		Algorithms: g.Algorithms,
 		Mean:       map[string][]float64{},
 		Summary:    map[string][]stats.Summary{},
 		Instances:  instances,
 	}
-	for _, alg := range cfg.Algorithms {
-		res.Mean[alg] = make([]float64, len(cfg.Loads))
-		res.Summary[alg] = make([]stats.Summary, len(cfg.Loads))
-		for li, load := range cfg.Loads {
+	for _, alg := range g.Algorithms {
+		res.Mean[alg] = make([]float64, len(g.Loads))
+		res.Summary[alg] = make([]stats.Summary, len(g.Loads))
+		for li, load := range g.Loads {
 			var s stats.Stream
 			for _, inst := range instances {
 				if inst.Load == load {

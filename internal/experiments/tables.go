@@ -20,15 +20,14 @@ type TableIResult struct {
 	RealWorld  map[string]stats.Summary // HPC2N-like weekly traces
 }
 
-// TableI runs experiment E3 as a single grid spanning the three workload
-// legs: load-scaled synthetic traces, the same traces unscaled, and the
-// HPC2N-like weekly segments. The records partition by family and load.
+// TableI runs experiment E3 as PaperGrid's single grid spanning the three
+// workload legs: load-scaled synthetic traces, the same traces unscaled,
+// and the HPC2N-like weekly segments. The records partition by family and
+// load.
 func TableI(ctx context.Context, cfg Config) (*TableIResult, error) {
-	g := cfg.grid("table1", cfg.Algorithms, cfg.Loads, PaperPenalty)
-	g.Families = []campaign.Family{
-		{Kind: campaign.FamilyLublin, Count: cfg.Traces},                                         // scaled (grid loads)
-		{Kind: campaign.FamilyLublin, Count: cfg.Traces, Loads: []float64{campaign.Unscaled}},    // unscaled
-		{Kind: campaign.FamilyHPC2N, Count: cfg.HPC2NWeeks, Loads: []float64{campaign.Unscaled}}, // real-world stand-in
+	g, err := PaperGrid("table1", cfg)
+	if err != nil {
+		return nil, err
 	}
 	recs, err := cfg.run(ctx, g)
 	if err != nil {
@@ -45,14 +44,15 @@ func TableI(ctx context.Context, cfg Config) (*TableIResult, error) {
 			scaled = append(scaled, rec)
 		}
 	}
-	res := &TableIResult{Algorithms: cfg.Algorithms}
-	if res.Scaled, err = degradationStats(scaled, cfg.Algorithms); err != nil {
+	algs := g.Algorithms
+	res := &TableIResult{Algorithms: algs}
+	if res.Scaled, err = degradationStats(scaled, algs); err != nil {
 		return nil, err
 	}
-	if res.Unscaled, err = degradationStats(unscaled, cfg.Algorithms); err != nil {
+	if res.Unscaled, err = degradationStats(unscaled, algs); err != nil {
 		return nil, err
 	}
-	if res.RealWorld, err = degradationStats(real, cfg.Algorithms); err != nil {
+	if res.RealWorld, err = degradationStats(real, algs); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -96,30 +96,19 @@ type TableIIResult struct {
 	Streams map[string][6]stats.Summary
 }
 
-// tableIIMinLoad is the paper's load cutoff for Table II.
-const tableIIMinLoad = 0.7
-
-// TableII runs experiment E4: the preempting algorithms over the high-load
-// scaled traces, aggregating the six cost columns directly from the
-// campaign records.
+// TableII runs experiment E4 on PaperGrid's grid: the preempting
+// algorithms over the high-load scaled traces, aggregating the six cost
+// columns directly from the campaign records.
 func TableII(ctx context.Context, cfg Config) (*TableIIResult, error) {
-	var loads []float64
-	for _, l := range cfg.Loads {
-		if l >= tableIIMinLoad {
-			loads = append(loads, l)
-		}
-	}
-	if len(loads) == 0 {
-		return nil, fmt.Errorf("experiments: Table II needs load levels >= %.1f", tableIIMinLoad)
-	}
-	algs := cfg.Algorithms
-	if len(algs) == 0 {
-		algs = PreemptingAlgorithms
-	}
-	recs, err := cfg.run(ctx, cfg.grid("table2", algs, loads, PaperPenalty))
+	g, err := PaperGrid("table2", cfg)
 	if err != nil {
 		return nil, err
 	}
+	recs, err := cfg.run(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	algs := g.Algorithms
 	type accum struct{ streams [6]*stats.Stream }
 	acc := map[string]*accum{}
 	for _, alg := range algs {

@@ -52,6 +52,7 @@ package federation
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -212,8 +213,8 @@ func New(spec Spec, src workload.JobSource) (*Federation, error) {
 	if src == nil {
 		return nil, fmt.Errorf("federation: nil job source")
 	}
-	if spec.Penalty < 0 {
-		return nil, fmt.Errorf("federation: negative penalty %g", spec.Penalty)
+	if !(spec.Penalty >= 0) || math.IsInf(spec.Penalty, 1) { // negated so NaN is rejected too
+		return nil, fmt.Errorf("federation: penalty %g is not a finite non-negative number of seconds", spec.Penalty)
 	}
 	disp, err := ByName(spec.Dispatcher)
 	if err != nil {

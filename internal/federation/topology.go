@@ -8,12 +8,17 @@ import (
 	"repro/internal/cluster"
 )
 
+// maxMembers bounds the bare-count topology form. The count sizes an
+// allocation before any cluster exists, so an unbounded one lets a single
+// grid submission exhaust memory during validation.
+const maxMembers = 1 << 12
+
 // ParseTopology parses the compact cluster-topology notation shared by
 // the -clusters CLI flag and the campaign federation axis. Two forms:
 //
-//   - a bare integer "N": N identical members of defNodes nodes of the
-//     defMix profile — "-clusters 2" duplicates the single-cluster
-//     platform;
+//   - a bare integer "N" (at most maxMembers): N identical members of
+//     defNodes nodes of the defMix profile — "-clusters 2" duplicates the
+//     single-cluster platform;
 //   - a "+"-separated member list, each member "mix", "mix:nodes" or
 //     ":nodes" — e.g. "uniform:128+bimodal-priced:64" for an on-prem mix
 //     plus a priced remote. An omitted mix or node count falls back to
@@ -30,8 +35,8 @@ func ParseTopology(spec string, defNodes int, defMix string) ([]MemberSpec, erro
 		return nil, fmt.Errorf("federation: default node count %d", defNodes)
 	}
 	if n, err := strconv.Atoi(spec); err == nil {
-		if n < 1 {
-			return nil, fmt.Errorf("federation: topology %q: cluster count must be positive", spec)
+		if n < 1 || n > maxMembers {
+			return nil, fmt.Errorf("federation: topology %q: cluster count must be in [1, %d]", spec, maxMembers)
 		}
 		members := make([]MemberSpec, n)
 		for i := range members {

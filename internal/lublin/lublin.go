@@ -19,8 +19,7 @@
 //     density peaking near midday. (The original model's arrival process
 //     has more structure; since the paper rescales every trace to exact
 //     offered-load targets by multiplying inter-arrival times, only the
-//     cycle shape matters here. The simplification is recorded in
-//     DESIGN.md.)
+//     cycle shape matters here.)
 //
 // Annotations (paper Section IV-C, deliberately pessimistic for DFRS):
 // nodes are quad-core, so a one-task (sequential) job has a CPU need of

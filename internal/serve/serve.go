@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -256,13 +257,6 @@ func (m *Manager) SubmitGrid(g *campaign.Grid) (*Job, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	// Grid validation leaves algorithm names to the runner (the CLI wants
-	// its error at run time); a service wants it at submission time.
-	for _, alg := range g.Algorithms {
-		if !dfrs.KnownAlgorithm(alg) {
-			return nil, fmt.Errorf("serve: unknown algorithm %q", alg)
-		}
-	}
 	id, err := newID()
 	if err != nil {
 		return nil, err
@@ -283,8 +277,8 @@ func (m *Manager) SubmitTrace(ts TraceSpec, trace io.Reader) (*Job, error) {
 	if !dfrs.KnownAlgorithm(ts.Algorithm) {
 		return nil, fmt.Errorf("serve: unknown algorithm %q", ts.Algorithm)
 	}
-	if ts.Penalty < 0 {
-		return nil, fmt.Errorf("serve: negative penalty %g", ts.Penalty)
+	if !(ts.Penalty >= 0) || math.IsInf(ts.Penalty, 1) { // negated so NaN is rejected too
+		return nil, fmt.Errorf("serve: penalty %g is not a finite non-negative number of seconds", ts.Penalty)
 	}
 	if ts.NodeMix != "" && !dfrs.ValidNodeMix(ts.NodeMix) {
 		return nil, fmt.Errorf("serve: unknown node mix %q", ts.NodeMix)

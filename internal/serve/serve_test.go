@@ -223,6 +223,9 @@ func TestSubmitValidationHTTP(t *testing.T) {
 		{"unknown alg", "/v1/runs?alg=no-such-alg", []byte("id submit\n")},
 		{"bad trace body", "/v1/runs?alg=fcfs", []byte("not a trace\n")},
 		{"bad penalty", "/v1/runs?alg=fcfs&penalty=abc", []byte("")},
+		{"NaN penalty", "/v1/runs?alg=fcfs&penalty=NaN", []byte("id submit\n")},
+		{"infinite penalty", "/v1/runs?alg=fcfs&penalty=Inf", []byte("id submit\n")},
+		{"negative penalty", "/v1/runs?alg=fcfs&penalty=-1", []byte("id submit\n")},
 	}
 	for _, tc := range cases {
 		if code := submitJSON(t, srv.URL+tc.url, tc.body, nil); code != http.StatusBadRequest {

@@ -435,8 +435,8 @@ func New(cfg Config, sched Scheduler) (*Simulator, error) {
 	if cfg.Trace.Nodes < 1 {
 		return nil, fmt.Errorf("sim: trace has no nodes")
 	}
-	if cfg.Penalty < 0 {
-		return nil, fmt.Errorf("sim: negative penalty %g", cfg.Penalty)
+	if !(cfg.Penalty >= 0) || math.IsInf(cfg.Penalty, 1) { // negated so NaN is rejected too
+		return nil, fmt.Errorf("sim: penalty %g is not a finite non-negative number of seconds", cfg.Penalty)
 	}
 	s := &Simulator{cfg: cfg, sched: sched, obs: cfg.Observer}
 	n := cfg.Trace.Nodes

@@ -418,8 +418,10 @@ func TestRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}, &script{}); err == nil {
 		t.Error("nil trace accepted")
 	}
-	if _, err := New(Config{Trace: trace(job(0, 0, 1, 10)), Penalty: -1}, &script{}); err == nil {
-		t.Error("negative penalty accepted")
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(Config{Trace: trace(job(0, 0, 1, 10)), Penalty: p}, &script{}); err == nil {
+			t.Errorf("penalty %g accepted", p)
+		}
 	}
 	bad := trace(workload.Job{ID: 0, Tasks: 0, CPUNeed: 0.5, MemReq: 0.5, ExecTime: 1})
 	if _, err := New(Config{Trace: bad}, &script{}); err == nil {
